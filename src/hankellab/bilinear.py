@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import GridSizeError, NonAnalyticError, ParameterError
 from .hankel import TruncationSpec, hankel_apply, truncated_apply
-from .trigpoly import (TrigPoly, analytic_part, coeff_distance, flip,
-                       multiply, stretch, translate)
+from .trigpoly import (Grid, TrigPoly, analytic_part, coeff_distance,
+                       eval_grid, stretch, translate)
 
 __all__ = [
     "BHTParams",
@@ -112,19 +112,6 @@ def bht_mu_fourier(b: TrigPoly, f: TrigPoly, params: BHTParams) -> TrigPoly:
     return first + second
 
 
-def _eval_offset(f: TrigPoly, G: int, offset: float) -> np.ndarray:
-    """Values of f at the shifted grid (2pi/G) j + offset, j = 0..G-1."""
-    if f.is_zero:
-        return np.zeros(G, dtype=np.complex128)
-    if G < 2 * f.span + 1:
-        raise GridSizeError(
-            f"grid size {G} too small for frequency span {f.span}")
-    n = f.frequencies()
-    buf = np.zeros(G, dtype=np.complex128)
-    np.add.at(buf, n % G, f.coeffs * np.exp(1j * n * offset))
-    return G * np.fft.ifft(buf)
-
-
 def _cot_kernel(G: int) -> np.ndarray:
     """K[d] = (1/G) cot(pi (d - 1/2)/G), the midpoint samples of the kernel
     (1/2pi) cot((x-t)/2) at x - t = (2pi/G)(d - 1/2)."""
@@ -161,11 +148,12 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     k, l, mu, L = params.k, params.l, params.mu, params.L
     x = 2.0 * np.pi * np.arange(G) / G
     t = 2.0 * np.pi * (np.arange(G) + 0.5) / G
+    nodes = Grid(G, staggered=True)
     if variant == "plain_kl":
-        fvals = _eval_offset(f, G, np.pi / G)            # f(t_j)
+        fvals = eval_grid(f, nodes)                 # f(t_j)
         t_extra = 0
     else:
-        fvals = _eval_offset(stretch(f, L), G, np.pi / G)  # f(L t_j)
+        fvals = eval_grid(stretch(f, L), nodes)     # f(L t_j)
         t_extra = abs(mu)
     max_t_freq = abs(l) * b.degree + t_extra + \
         (f.degree if variant == "plain_kl" else abs(L) * f.degree)
@@ -200,9 +188,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     # direct: chunked double sums over the kernel matrix
     out = np.zeros(G, dtype=np.complex128)
     # b(k x_i + l t_j) = bvals[(k i + l j) mod G] with a fixed offset l*pi/G
-    bvals = _eval_offset(b, G, np.pi * l / G)
+    bvals = eval_grid(translate(b, np.pi * l / G), Grid(G))
     if variant == "mu_form":
-        bL = _eval_offset(stretch(b, L), G, 0.0) if not b.is_zero else 0
+        bL = eval_grid(stretch(b, L), Grid(G))
     chunk = max(1, (1 << 22) // G)
     j = np.arange(G)
     for start in range(0, G, chunk):

@@ -9,12 +9,14 @@ Subcommands:
     experiment   list or run the reproducible experiments
 
 `experiment run` exits 0 when the experiment's acceptance summary passed
-and 2 when it ran to completion but a recorded threshold failed.
+and 2 when it ran to completion but a recorded threshold failed.  Every
+command exits 1 on a usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -132,13 +134,7 @@ def _cmd_experiment(args):
             raise ParameterError("experiment run needs a name or --config")
         config = default_config(args.name)
     if args.seed is not None:
-        config = ExperimentConfig(config.experiment, seed=args.seed,
-                                  threads=config.threads,
-                                  params=dict(config.params))
-    if args.threads is not None:
-        config = ExperimentConfig(config.experiment, seed=config.seed,
-                                  threads=args.threads,
-                                  params=dict(config.params))
+        config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)
     if args.out:
         path = report.write(args.out)
@@ -223,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(EXPERIMENT_NAMES) + [None])
     er.add_argument("--config", default=None, help="YAML config file")
     er.add_argument("--seed", type=int, default=None)
-    er.add_argument("--threads", type=int, default=None)
     er.add_argument("--out", default=None, help="directory for reports")
     er.add_argument("--quiet", action="store_true")
     er.set_defaults(func=_cmd_experiment, action="run")
@@ -233,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error and exits 2, which this CLI
+        # reserves for a failed experiment gate; --help exits 0
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except HankelLabError as exc:

@@ -6,9 +6,8 @@ emitted in fixed loop order, and the summary is a pure function of the rows
 (recomputed from them in the tests).  Reruns therefore produce byte-identical
 CSV output.
 
-Thread count comes from the HANKELLAB_THREADS environment variable or the
-"threads" config key; parallelism only distributes independent grid points
-and does not change any result.
+Every experiment is declared once, as an `Experiment` record in the
+`EXPERIMENTS` registry at the end of this module.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -34,113 +33,39 @@ from .hankel import (TruncationSpec, hankel_apply, matrix_section,
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
 from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratio,
-                     random_symbol, reduce_symbol)
-from .trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid, flip,
-                       multiply, random_poly, tail_projection)
+                     random_symbol)
+from .trigpoly import (Grid, coeff_distance, eval_grid, flip, multiply,
+                       random_poly, tail_projection)
 
 __all__ = [
+    "Experiment",
     "ExperimentConfig",
     "ExperimentReport",
+    "EXPERIMENTS",
     "EXPERIMENT_NAMES",
     "default_config",
     "run_experiment",
-    "run_identity_suite",
-    "run_bht_consistency",
-    "run_truncation_uniformity",
-    "run_log_growth",
-    "run_constant_stability",
-    "run_lemma_lipschitz_sweep",
 ]
 
 LEBESGUE_TARGET = 4.0 / np.pi ** 2
 
-DEFAULTS = {
-    "identity_suite": {
-        "seeds": 50,
-        "max_degree": 32,
-        "residual_tol": 1e-10,
-        "kl_pairs": [[1, 2], [2, 1], [-1, 2], [3, -1]],
-        "nu_grid": [-2.5, -0.5, 0.5, 1.0, 2.0],
-        "gamma_grid": [-4.0, -1.5, 0.0, 2.0, 3.5],
-    },
-    "bht_consistency": {
-        "grid": 1 << 14,
-        "seeds": 3,
-        "max_degree": 32,
-        "kl_pairs": [[1, 1], [1, 2], [2, 1], [-1, 2], [3, -1], [-2, 3]],
-        "mu_policy": "all",
-        "rel_tol": 1e-6,
-        "cross_grid": 512,
-        "cross_degree": 8,
-        "cross_tol": 1e-11,
-    },
-    "truncation_uniformity": {
-        "section_size": 512,
-        "seeds": 20,
-        "alpha": 0.005,
-        "max_block": 9,
-        "beta_grid": [-3.0, -2.0, -0.5, 0.5, 1.0, 2.0],
-        "gamma_min": -64,
-        "gamma_max": 64,
-        "slope_tol": 0.05,
-        "beta_zero_gammas": [-64, -32, -16, 0, 1, 4, 16, 32, 64],
-        "beta_zero_tol": 1e-10,
-        "norm_tol": 1e-9,
-        "sweep_tol": 1e-6,
-        "spot_points": [[1.0, 8.0], [-2.0, 8.0]],
-        "spot_alpha": 1.0,
-        "spot_degree": 16,
-        "spot_samples": 24,
-    },
-    "log_growth": {
-        "alpha": 0.5,
-        "extremal_n_max": 8,          # N = 4 * 2^n for n = 1..n_max
-        "lebesgue_powers": [4, 5, 6, 7, 8, 9, 10, 11, 12],
-        "ratio_rel_tol": 0.05,
-        "r2_min": 0.9,
-        "l1_tol": 1e-6,
-        "section_symbol_alpha": 0.5,
-        "section_symbol_max_block": 8,
-        "section_size": 256,
-        "section_N_step": 32,
-    },
-    "constant_stability": {
-        "alpha": 0.5,
-        "q": 1.0,
-        "p": 2.0,
-        "seeds": 20,
-        "f_degree": 24,
-        "symbol_max_block": 5,
-        "bands": {
-            "A": [[1, 1], [2, 1], [3, 1], [1, 2], [1, 3], [3, 2]],
-            "B": [[-1, 2], [-1, 3], [-2, 5], [-3, 5]],
-            "C": [[-2, 1], [-3, 1], [-3, 2], [-5, 3]],
-        },
-        "exploratory": [[-9, 8], [-8, 9]],
-        "spread_tol": 0.10,
-    },
-    "lemma_lipschitz_sweep": {
-        "N_grid": [8, 16, 32, 64, 128, 256, 512, 1024],
-        "M_factors": [0.0, 0.5, 1.0, 4.0],
-        "seeds": 20,
-        "alphas": [0.5, 1.0],
-        "symbol_max_block": 10,
-        "ratio_tol": 10.0,
-        "trend_tol": 0.1,
-    },
-}
 
-EXPERIMENT_NAMES = tuple(sorted(DEFAULTS))
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the drivers know about one experiment.
 
-COLUMNS = {
-    "identity_suite": ("identity", "seed", "params", "residual"),
-    "bht_consistency": ("variant", "k", "l", "mu", "seed", "grid",
-                        "rel_error"),
-    "truncation_uniformity": ("kind", "beta", "gamma", "seed", "value"),
-    "log_growth": ("kind", "N", "value", "extra"),
-    "constant_stability": ("band", "k", "l", "mu", "seed", "ratio"),
-    "lemma_lipschitz_sweep": ("alpha", "N", "M", "seed", "ratio"),
-}
+    `run(config)` returns the rows, each aligned with `columns`;
+    `summarize(params, rows)` returns (summary dict, passed);
+    `charts(base, rows)` writes SVGs next to the report files at path prefix
+    `base`; `validate(params)` raises ParameterError on values the defaults
+    merge cannot catch.
+    """
+    defaults: dict
+    columns: tuple
+    run: Callable
+    summarize: Callable
+    charts: Callable | None = None
+    validate: Callable | None = None
 
 
 @dataclass
@@ -148,43 +73,23 @@ class ExperimentConfig:
     """A fully-defaulted, validated experiment configuration."""
     experiment: str
     seed: int = 2026
-    threads: int = 0            # 0 = use HANKELLAB_THREADS or 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in DEFAULTS:
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise ParameterError(
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENT_NAMES)}")
-        merged = dict(DEFAULTS[self.experiment])
-        unknown = set(self.params) - set(merged)
+        unknown = set(self.params) - set(spec.defaults)
         if unknown:
             raise ParameterError(
                 f"unknown config keys for {self.experiment}: "
                 f"{', '.join(sorted(unknown))}")
-        merged.update(self.params)
-        self.params = merged
+        self.params = {**spec.defaults, **self.params}
         self.seed = int(self.seed)
-        self.threads = int(self.threads)
-        self._validate()
-
-    def _validate(self):
-        p = self.params
-        if self.experiment == "truncation_uniformity":
-            for b in p["beta_grid"]:
-                if abs(b) < 0.1 or abs(b + 1.0) < 0.1:
-                    raise ParameterError(
-                        "beta grid must avoid the excluded neighborhoods of "
-                        f"0 and -1 (radius 0.1); got beta={b}")
-            if not p["beta_grid"]:
-                raise ParameterError("beta grid must be nonempty")
-        if self.experiment == "bht_consistency":
-            for k, l in p["kl_pairs"]:
-                BHTParams(k, l, 0)    # raises on bad pairs
-        if self.experiment == "constant_stability":
-            for band, pairs in p["bands"].items():
-                for k, l in pairs:
-                    BHTParams(k, l, 0)
+        if spec.validate is not None:
+            spec.validate(self.params)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -193,8 +98,7 @@ class ExperimentConfig:
         if name is None:
             raise ParameterError("config needs an 'experiment' key")
         seed = d.pop("seed", 2026)
-        threads = d.pop("threads", 0)
-        return cls(name, seed=seed, threads=threads, params=d)
+        return cls(name, seed=seed, params=d)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -206,15 +110,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "seed": self.seed,
-                "threads": self.threads, **self.params}
-
-    def worker_count(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("HANKELLAB_THREADS", "").strip()
-        if env.isdigit() and int(env) > 0:
-            return int(env)
-        return 1
+                **self.params}
 
 
 @dataclass
@@ -238,56 +134,13 @@ class ExperimentReport:
             "passed": self.passed,
             "wall_clock_seconds": self.wall_clock,
         })
-        self._write_charts(out_dir)
+        charts = EXPERIMENTS[self.experiment].charts
+        if charts is not None:
+            try:
+                charts(base, self.rows)
+            except (OSError, ValueError):
+                pass    # charts are best-effort; rows and summary are the record
         return base + "_summary.json"
-
-    def _write_charts(self, out_dir):
-        base = os.path.join(out_dir, self.experiment)
-        try:
-            if self.experiment == "log_growth":
-                ext = [(r[1], r[2]) for r in self.rows if r[0] == "extremal"]
-                if len(ext) >= 2:
-                    reporting.write_svg_line(
-                        base + "_extremal.svg",
-                        [math.log(n) for n, _ in ext], [v for _, v in ext],
-                        title="partial-sum lower bound vs ln N",
-                        xlabel="ln N", ylabel="ratio")
-                leb = [(r[1], r[2]) for r in self.rows if r[0] == "lebesgue"]
-                if len(leb) >= 2:
-                    reporting.write_svg_line(
-                        base + "_lebesgue.svg",
-                        [math.log(n) for n, _ in leb], [v for _, v in leb],
-                        title="Lebesgue constant vs ln N",
-                        xlabel="ln N", ylabel="L_N")
-            elif self.experiment == "truncation_uniformity":
-                betas = sorted({r[1] for r in self.rows if r[0] == "ratio"})
-                for b in betas:
-                    pts = {}
-                    for _, beta, gamma, _, value in (
-                            r for r in self.rows if r[0] == "ratio"):
-                        if beta == b:
-                            pts.setdefault(gamma, []).append(value)
-                    gs = sorted(pts)
-                    ys = [float(np.mean(pts[g])) for g in gs]
-                    tag = repr(b).replace("-", "m").replace(".", "p")
-                    reporting.write_svg_line(
-                        f"{base}_beta_{tag}.svg",
-                        [math.log1p(abs(g)) for g in gs], ys,
-                        title=f"mean section ratio, beta={b}",
-                        xlabel="log(1+|gamma|)", ylabel="ratio")
-            elif self.experiment == "lemma_lipschitz_sweep":
-                per_n = {}
-                for alpha, N, M, seed, ratio in self.rows:
-                    per_n[N] = max(per_n.get(N, 0.0), ratio)
-                ns = sorted(per_n)
-                if len(ns) >= 2:
-                    reporting.write_svg_line(
-                        base + "_sup.svg",
-                        [math.log(n) for n in ns], [per_n[n] for n in ns],
-                        title="modulated norm ratio sup vs ln N",
-                        xlabel="ln N", ylabel="sup ratio")
-        except (OSError, ValueError):
-            pass    # charts are best-effort; rows and summary are the record
 
 
 def _rng(*parts):
@@ -295,31 +148,23 @@ def _rng(*parts):
     return np.random.default_rng([int(p) % (1 << 32) for p in parts])
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def default_config(experiment: str, seed: int = 2026) -> ExperimentConfig:
     return ExperimentConfig(experiment, seed=seed)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.experiment](config)
-
-
-def _report(config, rows, summarize) -> ExperimentReport:
-    summary, passed = summarize(config.params, rows)
+    spec = EXPERIMENTS[config.experiment]
+    t0 = time.perf_counter()
+    rows = spec.run(config)
+    summary, passed = spec.summarize(config.params, rows)
     return ExperimentReport(
         experiment=config.experiment,
         config=config.to_dict(),
-        columns=COLUMNS[config.experiment],
+        columns=spec.columns,
         rows=rows,
         summary=summary,
         passed=passed,
-        wall_clock=0.0,
+        wall_clock=time.perf_counter() - t0,
     )
 
 
@@ -327,8 +172,7 @@ def _report(config, rows, summarize) -> ExperimentReport:
 # identity_suite
 # ---------------------------------------------------------------------------
 
-def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def identity_suite_rows(config: ExperimentConfig) -> list:
     p = config.params
     rows = []
     kl = [tuple(map(int, pair)) for pair in p["kl_pairs"]]
@@ -385,9 +229,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         rows.append(("translation", s, f"k={k2},l={l2},mu={mu}",
                      translation_covariance_check(
                          b_gen, f, BHTParams(k2, l2, mu), y)))
-    report = _report(config, rows, summarize_identity_suite)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    return rows
 
 
 def summarize_identity_suite(params, rows):
@@ -410,8 +252,12 @@ def _rel_sup_error(values, reference):
     return float(np.abs(values - reference).max()) / scale
 
 
-def run_bht_consistency(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def _validate_bht_consistency(p):
+    for k, l in p["kl_pairs"]:
+        BHTParams(k, l, 0)    # raises on bad pairs
+
+
+def bht_consistency_rows(config: ExperimentConfig) -> list:
     p = config.params
     G = int(p["grid"])
     maxdeg = int(p["max_degree"])
@@ -424,9 +270,7 @@ def run_bht_consistency(config: ExperimentConfig) -> ExperimentReport:
         for mu in mus:
             cases.append(("mu_form", k, l, mu))
 
-    def run_case(case):
-        variant, k, l, mu = case
-        out = []
+    for variant, k, l, mu in cases:
         for s in range(seeds):
             rng = _rng(config.seed, 23, k, l, mu,
                        0 if variant == "plain_kl" else 1, s)
@@ -442,12 +286,8 @@ def run_bht_consistency(config: ExperimentConfig) -> ExperimentReport:
                 four = bht_mu_fourier(b, f, params)
             quad = pv_quadrature(b, f, params, G, variant=variant)
             ref = eval_grid(four, Grid(G))
-            out.append((variant, k, l, mu, s, G,
-                        _rel_sup_error(quad, ref)))
-        return out
-
-    for chunk in _map_ordered(run_case, cases, config.worker_count()):
-        rows.extend(chunk)
+            rows.append((variant, k, l, mu, s, G,
+                         _rel_sup_error(quad, ref)))
 
     # fft vs direct cross-validation at a small grid
     Gs = int(p["cross_grid"])
@@ -463,10 +303,7 @@ def run_bht_consistency(config: ExperimentConfig) -> ExperimentReport:
                            method="direct")
         rows.append(("fft_vs_direct", k, l, params.mu, idx, Gs,
                      _rel_sup_error(qd, qf)))
-
-    report = _report(config, rows, summarize_bht_consistency)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    return rows
 
 
 def summarize_bht_consistency(params, rows):
@@ -488,8 +325,17 @@ def summarize_bht_consistency(params, rows):
 # truncation_uniformity
 # ---------------------------------------------------------------------------
 
-def run_truncation_uniformity(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def _validate_truncation_uniformity(p):
+    for b in p["beta_grid"]:
+        if abs(b) < 0.1 or abs(b + 1.0) < 0.1:
+            raise ParameterError(
+                "beta grid must avoid the excluded neighborhoods of "
+                f"0 and -1 (radius 0.1); got beta={b}")
+    if not p["beta_grid"]:
+        raise ParameterError("beta grid must be nonempty")
+
+
+def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     p = config.params
     S = int(p["section_size"])
     seeds = int(p["seeds"])
@@ -530,10 +376,8 @@ def run_truncation_uniformity(config: ExperimentConfig) -> ExperimentReport:
             out.append(("beta_zero", 0.0, gamma, s, ratio))
         return out
 
-    rows = []
-    chunks = _map_ordered(per_seed, range(seeds), config.worker_count())
     # interleave rows in (beta, gamma, seed) order for stable output
-    collected = [r for chunk in chunks for r in chunk]
+    collected = [r for s in range(seeds) for r in per_seed(s)]
     order = {("ratio", b): i for i, b in enumerate(betas)}
     rows = sorted(
         collected,
@@ -554,10 +398,7 @@ def run_truncation_uniformity(config: ExperimentConfig) -> ExperimentReport:
             samples=int(p["spot_samples"]), seed=[config.seed, 43, idx])
         rows.append(("spot_truncated", beta, gamma, idx, trunc.value))
         rows.append(("spot_full", beta, gamma, idx, fullop.value))
-
-    report = _report(config, rows, summarize_truncation_uniformity)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    return rows
 
 
 def summarize_truncation_uniformity(params, rows):
@@ -603,12 +444,28 @@ def summarize_truncation_uniformity(params, rows):
              "rows": len(rows)}, all_pass)
 
 
+def truncation_uniformity_charts(base, rows):
+    ratios = [r for r in rows if r[0] == "ratio"]
+    for b in sorted({r[1] for r in ratios}):
+        pts = {}
+        for _, beta, gamma, _, value in ratios:
+            if beta == b:
+                pts.setdefault(gamma, []).append(value)
+        gs = sorted(pts)
+        ys = [float(np.mean(pts[g])) for g in gs]
+        tag = repr(b).replace("-", "m").replace(".", "p")
+        reporting.write_svg_line(
+            f"{base}_beta_{tag}.svg",
+            [math.log1p(abs(g)) for g in gs], ys,
+            title=f"mean section ratio, beta={b}",
+            xlabel="log(1+|gamma|)", ylabel="ratio")
+
+
 # ---------------------------------------------------------------------------
 # log_growth
 # ---------------------------------------------------------------------------
 
-def run_log_growth(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def log_growth_rows(config: ExperimentConfig) -> list:
     p = config.params
     alpha = float(p["alpha"])
     rows = []
@@ -635,9 +492,7 @@ def run_log_growth(config: ExperimentConfig) -> ExperimentReport:
         if est.witness is not None and est.value > 0:
             v = est.witness
         rows.append(("pi_minus1", N, est.value / full.value, 0.0))
-    report = _report(config, rows, summarize_log_growth)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    return rows
 
 
 def summarize_log_growth(params, rows):
@@ -683,12 +538,34 @@ def summarize_log_growth(params, rows):
     return (out, passed)
 
 
+def log_growth_charts(base, rows):
+    ext = [(r[1], r[2]) for r in rows if r[0] == "extremal"]
+    if len(ext) >= 2:
+        reporting.write_svg_line(
+            base + "_extremal.svg",
+            [math.log(n) for n, _ in ext], [v for _, v in ext],
+            title="partial-sum lower bound vs ln N",
+            xlabel="ln N", ylabel="ratio")
+    leb = [(r[1], r[2]) for r in rows if r[0] == "lebesgue"]
+    if len(leb) >= 2:
+        reporting.write_svg_line(
+            base + "_lebesgue.svg",
+            [math.log(n) for n, _ in leb], [v for _, v in leb],
+            title="Lebesgue constant vs ln N",
+            xlabel="ln N", ylabel="L_N")
+
+
 # ---------------------------------------------------------------------------
 # constant_stability
 # ---------------------------------------------------------------------------
 
-def run_constant_stability(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def _validate_constant_stability(p):
+    for pairs in p["bands"].values():
+        for k, l in pairs:
+            BHTParams(k, l, 0)
+
+
+def constant_stability_rows(config: ExperimentConfig) -> list:
     p = config.params
     alpha, q, pp = float(p["alpha"]), float(p["q"]), float(p["p"])
     seeds = int(p["seeds"])
@@ -709,9 +586,8 @@ def run_constant_stability(config: ExperimentConfig) -> ExperimentReport:
     for k, l in p["exploratory"]:
         cases.append(("exploratory", int(k), int(l)))
 
-    def run_case(case):
-        band, k, l = case
-        out = []
+    rows = []
+    for band, k, l in cases:
         for mu in range(-abs(l), abs(l) + 1):
             params = BHTParams(k, l, mu)
             for s, (b, f, lip_b, hardy_f) in enumerate(corpus):
@@ -721,15 +597,8 @@ def run_constant_stability(config: ExperimentConfig) -> ExperimentReport:
                     # frequencies; |g| on the circle is flip-invariant.
                     g = flip(g)
                 num = hardy_norm(g, pp).value if not g.is_zero else 0.0
-                out.append((band, k, l, mu, s, num / (lip_b * hardy_f)))
-        return out
-
-    rows = []
-    for chunk in _map_ordered(run_case, cases, config.worker_count()):
-        rows.extend(chunk)
-    report = _report(config, rows, summarize_constant_stability)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+                rows.append((band, k, l, mu, s, num / (lip_b * hardy_f)))
+    return rows
 
 
 def summarize_constant_stability(params, rows):
@@ -775,8 +644,7 @@ def summarize_constant_stability(params, rows):
 # lemma_lipschitz_sweep
 # ---------------------------------------------------------------------------
 
-def run_lemma_lipschitz_sweep(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.perf_counter()
+def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
     p = config.params
     rows = []
     alphas = [float(a) for a in p["alphas"]]
@@ -784,26 +652,18 @@ def run_lemma_lipschitz_sweep(config: ExperimentConfig) -> ExperimentReport:
     factors = [float(x) for x in p["M_factors"]]
     seeds = int(p["seeds"])
 
-    def per_alpha(alpha):
-        out = []
-        symbols = {}
-        for s in range(seeds):
-            b = random_symbol(alpha, int(p["symbol_max_block"]),
-                              [config.seed, 71, s])
-            symbols[s] = b
+    for alpha in alphas:
+        symbols = [random_symbol(alpha, int(p["symbol_max_block"]),
+                                 [config.seed, 71, s])
+                   for s in range(seeds)]
         for N in n_grid:
             for fac in factors:
                 M = int(round(fac * N))
                 for s in range(seeds):
-                    out.append((alpha, N, M, s,
-                                modulated_norm_ratio(symbols[s], alpha, N, M)))
-        return out
-
-    for chunk in _map_ordered(per_alpha, alphas, config.worker_count()):
-        rows.extend(chunk)
-    report = _report(config, rows, summarize_lemma_lipschitz_sweep)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+                    rows.append((alpha, N, M, s,
+                                 modulated_norm_ratio(symbols[s], alpha, N,
+                                                      M)))
+    return rows
 
 
 def summarize_lemma_lipschitz_sweep(params, rows):
@@ -836,20 +696,133 @@ def summarize_lemma_lipschitz_sweep(params, rows):
              "rows": len(rows)}, ok)
 
 
-_RUNNERS = {
-    "identity_suite": run_identity_suite,
-    "bht_consistency": run_bht_consistency,
-    "truncation_uniformity": run_truncation_uniformity,
-    "log_growth": run_log_growth,
-    "constant_stability": run_constant_stability,
-    "lemma_lipschitz_sweep": run_lemma_lipschitz_sweep,
+def lemma_lipschitz_sweep_charts(base, rows):
+    per_n = {}
+    for alpha, N, M, seed, ratio in rows:
+        per_n[N] = max(per_n.get(N, 0.0), ratio)
+    ns = sorted(per_n)
+    if len(ns) >= 2:
+        reporting.write_svg_line(
+            base + "_sup.svg",
+            [math.log(n) for n in ns], [per_n[n] for n in ns],
+            title="modulated norm ratio sup vs ln N",
+            xlabel="ln N", ylabel="sup ratio")
+
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+EXPERIMENTS = {
+    "identity_suite": Experiment(
+        defaults={
+            "seeds": 50,
+            "max_degree": 32,
+            "residual_tol": 1e-10,
+            "kl_pairs": [[1, 2], [2, 1], [-1, 2], [3, -1]],
+            "nu_grid": [-2.5, -0.5, 0.5, 1.0, 2.0],
+            "gamma_grid": [-4.0, -1.5, 0.0, 2.0, 3.5],
+        },
+        columns=("identity", "seed", "params", "residual"),
+        run=identity_suite_rows,
+        summarize=summarize_identity_suite,
+    ),
+    "bht_consistency": Experiment(
+        defaults={
+            "grid": 1 << 14,
+            "seeds": 3,
+            "max_degree": 32,
+            "kl_pairs": [[1, 1], [1, 2], [2, 1], [-1, 2], [3, -1], [-2, 3]],
+            "mu_policy": "all",
+            "rel_tol": 1e-6,
+            "cross_grid": 512,
+            "cross_degree": 8,
+            "cross_tol": 1e-11,
+        },
+        columns=("variant", "k", "l", "mu", "seed", "grid", "rel_error"),
+        run=bht_consistency_rows,
+        summarize=summarize_bht_consistency,
+        validate=_validate_bht_consistency,
+    ),
+    "truncation_uniformity": Experiment(
+        defaults={
+            "section_size": 512,
+            "seeds": 20,
+            "alpha": 0.005,
+            "max_block": 9,
+            "beta_grid": [-3.0, -2.0, -0.5, 0.5, 1.0, 2.0],
+            "gamma_min": -64,
+            "gamma_max": 64,
+            "slope_tol": 0.05,
+            "beta_zero_gammas": [-64, -32, -16, 0, 1, 4, 16, 32, 64],
+            "beta_zero_tol": 1e-10,
+            "norm_tol": 1e-9,
+            "sweep_tol": 1e-6,
+            "spot_points": [[1.0, 8.0], [-2.0, 8.0]],
+            "spot_alpha": 1.0,
+            "spot_degree": 16,
+            "spot_samples": 24,
+        },
+        columns=("kind", "beta", "gamma", "seed", "value"),
+        run=truncation_uniformity_rows,
+        summarize=summarize_truncation_uniformity,
+        charts=truncation_uniformity_charts,
+        validate=_validate_truncation_uniformity,
+    ),
+    "log_growth": Experiment(
+        defaults={
+            "alpha": 0.5,
+            "extremal_n_max": 8,          # N = 4 * 2^n for n = 1..n_max
+            "lebesgue_powers": [4, 5, 6, 7, 8, 9, 10, 11, 12],
+            "ratio_rel_tol": 0.05,
+            "r2_min": 0.9,
+            "l1_tol": 1e-6,
+            "section_symbol_alpha": 0.5,
+            "section_symbol_max_block": 8,
+            "section_size": 256,
+            "section_N_step": 32,
+        },
+        columns=("kind", "N", "value", "extra"),
+        run=log_growth_rows,
+        summarize=summarize_log_growth,
+        charts=log_growth_charts,
+    ),
+    "constant_stability": Experiment(
+        defaults={
+            "alpha": 0.5,
+            "q": 1.0,
+            "p": 2.0,
+            "seeds": 20,
+            "f_degree": 24,
+            "symbol_max_block": 5,
+            "bands": {
+                "A": [[1, 1], [2, 1], [3, 1], [1, 2], [1, 3], [3, 2]],
+                "B": [[-1, 2], [-1, 3], [-2, 5], [-3, 5]],
+                "C": [[-2, 1], [-3, 1], [-3, 2], [-5, 3]],
+            },
+            "exploratory": [[-9, 8], [-8, 9]],
+            "spread_tol": 0.10,
+        },
+        columns=("band", "k", "l", "mu", "seed", "ratio"),
+        run=constant_stability_rows,
+        summarize=summarize_constant_stability,
+        validate=_validate_constant_stability,
+    ),
+    "lemma_lipschitz_sweep": Experiment(
+        defaults={
+            "N_grid": [8, 16, 32, 64, 128, 256, 512, 1024],
+            "M_factors": [0.0, 0.5, 1.0, 4.0],
+            "seeds": 20,
+            "alphas": [0.5, 1.0],
+            "symbol_max_block": 10,
+            "ratio_tol": 10.0,
+            "trend_tol": 0.1,
+        },
+        columns=("alpha", "N", "M", "seed", "ratio"),
+        run=lemma_lipschitz_sweep_rows,
+        summarize=summarize_lemma_lipschitz_sweep,
+        charts=lemma_lipschitz_sweep_charts,
+    ),
 }
 
-SUMMARIZERS = {
-    "identity_suite": summarize_identity_suite,
-    "bht_consistency": summarize_bht_consistency,
-    "truncation_uniformity": summarize_truncation_uniformity,
-    "log_growth": summarize_log_growth,
-    "constant_stability": summarize_constant_stability,
-    "lemma_lipschitz_sweep": summarize_lemma_lipschitz_sweep,
-}
+EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))

@@ -129,6 +129,19 @@ def _ensure_analytic(f: TrigPoly, what: str = "input") -> TrigPoly:
     return f
 
 
+def _section(b: TrigPoly, spec: TruncationSpec | None, rows: int,
+             cols: int) -> np.ndarray:
+    """The rows x cols array (b_{m+n}), masked by the truncation weights of
+    a linear spec when one is given."""
+    B = b.window(0, rows + cols - 2)
+    H = B[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
+    if spec is None:
+        return H
+    m = np.arange(rows, dtype=np.float64)[:, None]
+    n = np.arange(cols, dtype=np.float64)[None, :]
+    return spec.weights(m - spec.beta[0] * n - spec.gamma) * H
+
+
 def hankel_apply(b: TrigPoly, f: TrigPoly, method: str = "direct") -> TrigPoly:
     """H_b f, coefficient c_m = sum_n a_n b_{m+n}.
 
@@ -172,14 +185,8 @@ def truncated_apply(b: TrigPoly, spec: TruncationSpec, f: TrigPoly) -> TrigPoly:
     _ensure_analytic(f)
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
-    K = b.max_freq
     D = f.max_freq
-    m = np.arange(K + 1, dtype=np.float64)[:, None]
-    n = np.arange(D + 1, dtype=np.float64)[None, :]
-    W = spec.weights(m - spec.beta[0] * n - spec.gamma)
-    B = b.window(0, K + D)
-    H = B[np.arange(K + 1)[:, None] + np.arange(D + 1)[None, :]]
-    c = (W * H) @ f.window(0, D)
+    c = _section(b, spec, b.max_freq + 1, D + 1) @ f.window(0, D)
     return TrigPoly(c, 0)
 
 
@@ -229,12 +236,9 @@ def column_truncation_apply(b: TrigPoly, N: int, f: TrigPoly) -> TrigPoly:
     _ensure_analytic(f)
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
-    K = b.max_freq
     D = f.max_freq
     W = (np.arange(D + 1)[None, :] >= int(N)).astype(np.float64)
-    B = b.window(0, K + D)
-    H = B[np.arange(K + 1)[:, None] + np.arange(D + 1)[None, :]]
-    c = (W * H) @ f.window(0, D)
+    c = (W * _section(b, None, b.max_freq + 1, D + 1)) @ f.window(0, D)
     return TrigPoly(c, 0)
 
 
@@ -266,12 +270,6 @@ def matrix_section(b: TrigPoly, spec: TruncationSpec | None,
         raise SectionSizeError(
             f"section dimension {max(rows, cols)} exceeds the guard "
             f"{SECTION_GUARD}")
-    B = b.window(0, rows + cols - 2)
-    H = B[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
-    if spec is not None:
-        if spec.arity != 1:
-            raise ParameterError("matrix sections are linear (arity 1)")
-        m = np.arange(rows, dtype=np.float64)[:, None]
-        n = np.arange(cols, dtype=np.float64)[None, :]
-        H = spec.weights(m - spec.beta[0] * n - spec.gamma) * H
-    return MatrixSection(H, spec)
+    if spec is not None and spec.arity != 1:
+        raise ParameterError("matrix sections are linear (arity 1)")
+    return MatrixSection(_section(b, spec, rows, cols), spec)

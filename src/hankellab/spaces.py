@@ -72,20 +72,27 @@ def _start_grid(degree: int) -> int:
     return min(G, GRID_CAP)
 
 
+def _refine(measure, G: int, rel_tol: float = REFINE_REL_TOL,
+            cap: int = GRID_CAP):
+    """(value, grid_size, converged): doubles G until two successive values
+    of measure(G) agree to rel_tol, or G reaches cap."""
+    prev = measure(G)
+    while G < cap:
+        G *= 2
+        cur = measure(G)
+        if abs(cur - prev) <= rel_tol * max(cur, 1e-300):
+            return cur, G, True
+        prev = cur
+    return prev, G, False
+
+
 def sup_norm(f: TrigPoly, rel_tol: float = REFINE_REL_TOL,
              cap: int = GRID_CAP):
     """(value, grid_size, converged): refined-grid maximum of |f|."""
     if f.is_zero:
         return 0.0, 16, True
-    G = _start_grid(f.span)
-    prev = float(np.abs(eval_grid(f, Grid(G))).max())
-    while G < cap:
-        G *= 2
-        cur = float(np.abs(eval_grid(f, Grid(G))).max())
-        if abs(cur - prev) <= rel_tol * max(cur, 1e-300):
-            return cur, G, True
-        prev = cur
-    return prev, G, False
+    return _refine(lambda G: float(np.abs(eval_grid(f, Grid(G))).max()),
+                   _start_grid(f.span), rel_tol, cap)
 
 
 def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
@@ -108,15 +115,8 @@ def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
         v = np.abs(eval_grid(f, Grid(G)))
         return float(np.mean(v ** p)) ** (1.0 / p)
 
-    G = _start_grid(f.span)
-    prev = mean_p(G)
-    while G < GRID_CAP:
-        G *= 2
-        cur = mean_p(G)
-        if abs(cur - prev) <= REFINE_REL_TOL * max(cur, 1e-300):
-            return HardyNorm(p, cur, G, True)
-        prev = cur
-    return HardyNorm(p, prev, G, False)
+    value, G, ok = _refine(mean_p, _start_grid(f.span))
+    return HardyNorm(p, value, G, ok)
 
 
 def lipschitz_norm(b: TrigPoly, alpha: float) -> LipschitzNorm:

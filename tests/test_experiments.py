@@ -10,7 +10,7 @@ import yaml
 
 from hankellab.cli import main
 from hankellab.errors import ParameterError
-from hankellab.experiments import (EXPERIMENT_NAMES, SUMMARIZERS,
+from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, default_config,
                                    run_experiment)
 from hankellab.serialize import load_poly
@@ -68,6 +68,10 @@ def test_unknown_experiment_rejected():
 def test_unknown_param_key_rejected():
     with pytest.raises(ParameterError):
         ExperimentConfig("identity_suite", params={"seeds": 2, "nope": 1})
+    # the removed thread-count key is an unknown key like any other
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_dict({"experiment": "identity_suite",
+                                    "threads": 2})
 
 
 def test_beta_grid_exclusion_zones():
@@ -106,17 +110,6 @@ def test_config_from_yaml(tmp_path):
         ExperimentConfig.from_dict({"seed": 3})    # no experiment key
 
 
-def test_worker_count(monkeypatch):
-    cfg = tiny_config("identity_suite")
-    monkeypatch.delenv("HANKELLAB_THREADS", raising=False)
-    assert cfg.worker_count() == 1
-    monkeypatch.setenv("HANKELLAB_THREADS", "3")
-    assert cfg.worker_count() == 3
-    explicit = ExperimentConfig("identity_suite", threads=2,
-                                params=dict(TINY["identity_suite"]))
-    assert explicit.worker_count() == 2
-
-
 # -- deterministic reruns and summary recomputation ------------------------------
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -124,7 +117,9 @@ def test_rerun_determinism_and_summary_recompute(name):
     r1 = run_experiment(tiny_config(name))
     r2 = run_experiment(tiny_config(name))
     assert r1.rows == r2.rows                      # bitwise identical floats
-    summary, passed = SUMMARIZERS[name](tiny_config(name).params, r1.rows)
+    spec = EXPERIMENTS[name]
+    assert all(len(row) == len(spec.columns) for row in r1.rows)
+    summary, passed = spec.summarize(tiny_config(name).params, r1.rows)
     assert summary == r1.summary and passed == r1.passed
 
 
@@ -304,6 +299,17 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg))
     code = main(["experiment", "run", "log_growth", "--config", str(path)])
     assert code == 1
+    capsys.readouterr()
+    # argparse usage errors: unknown experiment, unknown flag (including the
+    # removed --threads), missing required option
+    for argv in (["experiment", "run", "bogus"],
+                 ["experiment", "list", "--nope"],
+                 ["experiment", "run", "identity_suite", "--threads", "2"],
+                 ["opnorm"]):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -22,7 +22,8 @@ from .spaces import (HardyNorm, LipschitzNorm, hardy_norm, lipschitz_norm,
 from .hankel import (MatrixSection, TruncationSpec, beta_minus_one_identity_check,
                      beta_zero_identity_check, column_truncation_apply,
                      hankel_apply, matrix_section, multilinear_apply,
-                     multilinear_truncated_apply, truncated_apply)
+                     multilinear_truncated_apply, section_weights,
+                     truncated_apply)
 from .bilinear import (BHTParams, bht_fourier, bht_mu_fourier,
                        link_identity_check, pv_quadrature, real_line_bht,
                        translation_covariance_check)
@@ -55,7 +56,7 @@ __all__ = [
     "TruncationSpec", "MatrixSection", "hankel_apply", "multilinear_apply",
     "truncated_apply", "multilinear_truncated_apply",
     "column_truncation_apply", "beta_zero_identity_check",
-    "beta_minus_one_identity_check", "matrix_section",
+    "beta_minus_one_identity_check", "matrix_section", "section_weights",
     # bilinear
     "BHTParams", "bht_fourier", "bht_mu_fourier", "pv_quadrature",
     "link_identity_check", "translation_covariance_check", "real_line_bht",

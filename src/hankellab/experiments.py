@@ -29,7 +29,7 @@ from .errors import ParameterError
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      multilinear_truncated_apply, truncated_apply,
                      column_truncation_apply, beta_zero_identity_check,
-                     beta_minus_one_identity_check)
+                     beta_minus_one_identity_check, section_weights)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
 from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratio,
@@ -343,9 +343,7 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     betas = [float(b) for b in p["beta_grid"]]
     gammas = list(range(int(p["gamma_min"]), int(p["gamma_max"]) + 1))
     norm_tol = float(p["norm_tol"])
-    sweep_tol = float(p.get("sweep_tol", norm_tol))
-    m_idx = np.arange(S, dtype=np.float64)[:, None]
-    n_idx = np.arange(S, dtype=np.float64)[None, :]
+    sweep_tol = float(p["sweep_tol"])
 
     def per_seed(s):
         b = random_symbol(alpha, int(p["max_block"]), [config.seed, 31, s])
@@ -353,10 +351,9 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
         full = section_norm_2_2(H, tol=norm_tol, seed=[config.seed, 37, s])
         out = []
         for beta in betas:
-            spec = TruncationSpec((beta,), 0.0)
             v = full.witness
             for gamma in gammas:
-                W = spec.weights(m_idx - beta * n_idx - gamma)
+                W = section_weights(TruncationSpec((beta,), gamma), S, S)
                 if W.all():
                     # identical matrices; nothing to iterate
                     out.append(("ratio", beta, gamma, s, 1.0))
@@ -367,7 +364,7 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
                 out.append(("ratio", beta, gamma, s,
                             est.value / full.value))
         for gamma in [int(g) for g in p["beta_zero_gammas"]]:
-            W = (m_idx - gamma >= -1e-9)
+            W = section_weights(TruncationSpec((0.0,), gamma), S, S)
             if W.all():
                 ratio = 1.0     # identical matrices; nothing to iterate
             else:
@@ -483,11 +480,9 @@ def log_growth_rows(config: ExperimentConfig) -> list:
                       [config.seed, 47])
     H = matrix_section(b, None, S, S).entries
     full = section_norm_2_2(H, tol=1e-9, seed=[config.seed, 53])
-    m_idx = np.arange(S)[:, None]
-    n_idx = np.arange(S)[None, :]
     v = full.witness
     for N in range(0, S + 1, int(p["section_N_step"])):
-        W = (m_idx + n_idx >= N).astype(float)   # Pi_{-1,N} mask
+        W = section_weights(TruncationSpec((-1.0,), N), S, S)
         est = section_norm_2_2(W * H, tol=1e-9, v0=v)
         if est.witness is not None and est.value > 0:
             v = est.witness

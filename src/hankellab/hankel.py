@@ -48,6 +48,7 @@ __all__ = [
     "beta_zero_identity_check",
     "beta_minus_one_identity_check",
     "matrix_section",
+    "section_weights",
 ]
 
 
@@ -129,6 +130,29 @@ def _ensure_analytic(f: TrigPoly, what: str = "input") -> TrigPoly:
     return f
 
 
+def section_weights(spec: TruncationSpec, rows: int,
+                    cols: int) -> np.ndarray:
+    """Weights of a linear truncation on the rows x cols grid (output m,
+    input n): equal to spec.weights(m - beta*n - gamma), built from one
+    integer row cutoff per column instead of a float residual per entry.
+
+    Column n keeps the rows m >= ceil(beta*n + gamma - BOUNDARY_TOL).  For
+    "include" the result is that boolean mask; for "half" it is a float
+    array with 1/2 on the kept rows m <= floor(beta*n + gamma +
+    BOUNDARY_TOL), which lie on the boundary.
+    """
+    if spec.arity != 1:
+        raise ParameterError("linear truncation requires a length-1 beta")
+    t = spec.beta[0] * np.arange(cols, dtype=np.float64) + spec.gamma
+    m = np.arange(rows, dtype=np.float64)[:, None]
+    keep = m >= np.ceil(t - BOUNDARY_TOL)
+    if spec.boundary == "include":
+        return keep
+    w = keep.astype(np.float64)
+    w[keep & (m <= np.floor(t + BOUNDARY_TOL))] = 0.5
+    return w
+
+
 def _section(b: TrigPoly, spec: TruncationSpec | None, rows: int,
              cols: int) -> np.ndarray:
     """The rows x cols array (b_{m+n}), masked by the truncation weights of
@@ -137,9 +161,7 @@ def _section(b: TrigPoly, spec: TruncationSpec | None, rows: int,
     H = B[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
     if spec is None:
         return H
-    m = np.arange(rows, dtype=np.float64)[:, None]
-    n = np.arange(cols, dtype=np.float64)[None, :]
-    return spec.weights(m - spec.beta[0] * n - spec.gamma) * H
+    return section_weights(spec, rows, cols) * H
 
 
 def hankel_apply(b: TrigPoly, f: TrigPoly, method: str = "direct") -> TrigPoly:

@@ -76,6 +76,11 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
     neighbouring sections share their top singular vector).  Non-convergence
     after max_iter is reported through converged=False and a warning, with
     the last residual recorded.
+
+    Each sweep applies the adjoint as conj(conj(A v) @ A): A.conj().T @ u
+    would copy the whole matrix on every sweep, while this form reads A in
+    place and does the same real operations, so every entry comes out
+    equal (an exact zero may change its sign).
     """
     A = section.entries if isinstance(section, MatrixSection) else \
         np.asarray(section, dtype=np.complex128)
@@ -101,7 +106,7 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
     sigma = 0.0
     rel = np.inf
     for it in range(1, max_iter + 1):
-        w = A.conj().T @ (A @ v)
+        w = np.conj(np.conj(A @ v) @ A)
         # Rayleigh quotient of A*A at unit v equals ||A v||^2
         sigma = float(np.sqrt(max(np.real(np.vdot(v, w)), 0.0)))
         nw = np.linalg.norm(w)

@@ -11,7 +11,8 @@ from hankellab.hankel import (MatrixSection, TruncationSpec,
                               beta_zero_identity_check,
                               column_truncation_apply, hankel_apply,
                               matrix_section, multilinear_apply,
-                              multilinear_truncated_apply, truncated_apply)
+                              multilinear_truncated_apply, section_weights,
+                              truncated_apply)
 from hankellab.spaces import random_symbol, reduction_index
 from hankellab.trigpoly import (TrigPoly, analytic_partial_sum,
                                 coeff_distance, multiply, random_poly,
@@ -77,6 +78,26 @@ def test_boundary_weights_include_vs_half():
     resid = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])
     np.testing.assert_allclose(spec_i.weights(resid), [0, 1, 1, 1, 1])
     np.testing.assert_allclose(spec_h.weights(resid), [0, 0.5, 0.5, 0.5, 1])
+
+
+@pytest.mark.parametrize("boundary", ["include", "half"])
+def test_section_weights_match_residual_weights(boundary):
+    # rational beta = k/l puts lattice gammas exactly on boundary rows, where
+    # BOUNDARY_TOL decides between the integer cutoff and its neighbour
+    rows, cols = 45, 38
+    m = np.arange(rows, dtype=np.float64)[:, None]
+    n = np.arange(cols, dtype=np.float64)[None, :]
+    betas = sorted({k / l for k in range(-7, 8) for l in range(1, 8)})
+    assert 0.0 in betas and -1.0 in betas
+    for beta in betas:
+        for gamma in [-9.0, -2.0 / 3.0, 0.0, 1.0 / 7.0, 0.37, 2.5, 11.0,
+                      -4.2]:
+            spec = TruncationSpec((beta,), gamma, boundary=boundary)
+            ref = spec.weights(m - beta * n - gamma)
+            got = section_weights(spec, rows, cols)
+            assert np.array_equal(got, ref), (beta, gamma)
+    with pytest.raises(ParameterError):
+        section_weights(TruncationSpec((1.0, 1.0), 0.0), rows, cols)
 
 
 def test_truncated_apply_mask_semantics():

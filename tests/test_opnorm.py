@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from hankellab.errors import ParameterError
-from hankellab.hankel import matrix_section
+from hankellab.hankel import MatrixSection, TruncationSpec, matrix_section
 from hankellab.opnorm import (NormEstimate, lebesgue_constant,
                               ratio_search_qp, section_norm_2_2,
                               sn_extremal_lower_bound)
-from hankellab.spaces import hardy_norm
+from hankellab.spaces import hardy_norm, random_symbol
 from hankellab.trigpoly import TrigPoly, analytic_partial_sum
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -69,6 +69,57 @@ def test_nested_sections_are_monotone():
             for s in (4, 8, 16, 32)]
     assert all(y > x for x, y in zip(vals, vals[1:]))
     assert vals[-1] <= np.pi + 1e-9
+
+
+def _reference_power_iteration(A, tol, seed=0, v0=None):
+    """The sweep loop with the adjoint formed as A.conj().T, which copies
+    the matrix; section_norm_2_2 must reproduce its value, sweep count and
+    residual bit for bit and its witness entry for entry."""
+    A = np.asarray(A, dtype=np.complex128)
+    if v0 is not None:
+        v = np.asarray(v0, dtype=np.complex128).copy()
+        v /= np.linalg.norm(v)
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(A.shape[1]) \
+            + 1j * rng.standard_normal(A.shape[1])
+        v /= np.linalg.norm(v)
+    prev = 0.0
+    for it in range(1, 20001):
+        w = A.conj().T @ (A @ v)
+        sigma = float(np.sqrt(max(np.real(np.vdot(v, w)), 0.0)))
+        v = w / np.linalg.norm(w)
+        rel = abs(sigma - prev) / max(sigma, 1e-300)
+        if rel <= tol:
+            return sigma, it, rel, v
+        prev = sigma
+    raise AssertionError("reference loop did not converge")
+
+
+def test_power_iteration_is_bit_identical_to_copying_adjoint():
+    rng = np.random.default_rng(23)
+
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    spec = TruncationSpec((2.0 / 3.0,), -3.0)
+    sections = {
+        "tall": cplx((70, 33)),
+        "wide": cplx((21, 64)),
+        "real": rng.standard_normal((48, 48)),
+        "section": matrix_section(random_symbol(0.5, 6, 29), spec, 96, 96),
+    }
+    for name, sec in sections.items():
+        A = sec.entries if isinstance(sec, MatrixSection) else sec
+        for kwargs in ({"seed": [5, 7]}, {"v0": cplx(A.shape[1])}):
+            est = section_norm_2_2(sec, tol=1e-10, **kwargs)
+            value, its, rel, v = _reference_power_iteration(A, 1e-10,
+                                                            **kwargs)
+            assert est.converged, name
+            assert (est.value, est.iterations, est.residual) == \
+                (value, its, rel), name
+            # every entry equal; an exact zero may differ in its sign
+            assert np.array_equal(est.witness, v), name
 
 
 def test_non_convergence_is_flagged():

@@ -25,11 +25,12 @@ cotangent pairing exactly for every frequency |s| <= G/2.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSizeError, NonAnalyticError, ParameterError
+from .errors import NonAnalyticError, ParameterError
 from .hankel import TruncationSpec, hankel_apply, truncated_apply
 from .trigpoly import (Grid, TrigPoly, analytic_part, coeff_distance,
                        eval_grid, stretch, translate)
@@ -133,9 +134,8 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     "direct" forms the chunked O(G^2) double sum.  Both are rearrangements of
     the same finite sums.
     """
-    G = int(G)
-    if G <= 0 or (G & (G - 1)) != 0:
-        raise GridSizeError(f"G must be a positive power of two, got {G}")
+    nodes = Grid(G, staggered=True)
+    G = nodes.size
     if variant not in ("plain_kl", "mu_form"):
         raise ParameterError(f"unknown variant {variant!r}")
     if method not in ("fft", "direct"):
@@ -146,9 +146,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
         return np.zeros(G, dtype=np.complex128)
 
     k, l, mu, L = params.k, params.l, params.mu, params.L
-    x = 2.0 * np.pi * np.arange(G) / G
-    t = 2.0 * np.pi * (np.arange(G) + 0.5) / G
-    nodes = Grid(G, staggered=True)
+    grid = Grid(G)
+    x = grid.points()
+    t = nodes.points()
     if variant == "plain_kl":
         fvals = eval_grid(f, nodes)                 # f(t_j)
         t_extra = 0
@@ -158,7 +158,6 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     max_t_freq = abs(l) * b.degree + t_extra + \
         (f.degree if variant == "plain_kl" else abs(L) * f.degree)
     if 2 * max_t_freq > G:
-        import warnings
         warnings.warn(
             f"quadrature grid G={G} is below the exactness threshold "
             f"{2 * max_t_freq} for these degrees; results are approximate",
@@ -188,9 +187,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     # direct: chunked double sums over the kernel matrix
     out = np.zeros(G, dtype=np.complex128)
     # b(k x_i + l t_j) = bvals[(k i + l j) mod G] with a fixed offset l*pi/G
-    bvals = eval_grid(translate(b, np.pi * l / G), Grid(G))
+    bvals = eval_grid(translate(b, np.pi * l / G), grid)
     if variant == "mu_form":
-        bL = eval_grid(stretch(b, L), Grid(G))
+        bL = eval_grid(stretch(b, L), grid)
     chunk = max(1, (1 << 22) // G)
     j = np.arange(G)
     for start in range(0, G, chunk):
@@ -272,16 +271,16 @@ def translation_covariance_check(b: TrigPoly, f: TrigPoly, params: BHTParams,
     return coeff_distance(lhs, rhs)
 
 
-def real_line_bht(b, f, beta: float, x, support, nodes: int = 4096,
-                  singular_skip: float = 0.5) -> np.ndarray:
+def real_line_bht(b, f, beta: float, x, support,
+                  nodes: int = 4096) -> np.ndarray:
     """Midpoint quadrature of the real-line model operator
 
         (H^beta b f)(x) = p.v. int [b(x + beta(s - x)) - b(x)] f(s)/(x - s) ds
 
     for callables b, f, with f supported in `support` = (lo, hi).  The
-    bracket removes the singularity for Lipschitz b; nodes within
-    singular_skip * h of x are dropped (h the node spacing), which converges
-    for the principal value by symmetry of the midpoint rule.
+    bracket removes the singularity for Lipschitz b; nodes within h/2 of x
+    are dropped (h the node spacing), which converges for the principal
+    value by symmetry of the midpoint rule.
 
     beta = 0 gives identically zero; b(u) = u gives -beta * int f.
     """
@@ -300,7 +299,7 @@ def real_line_bht(b, f, beta: float, x, support, nodes: int = 4096,
     out = np.empty(x.shape, dtype=np.complex128)
     for i, xi in enumerate(x):
         d = xi - s
-        keep = np.abs(d) > singular_skip * h
+        keep = np.abs(d) > 0.5 * h
         u = xi + beta * (s[keep] - xi)
         vals = (np.asarray(b(u), dtype=np.complex128) - complex(b(xi))) \
             * fs[keep] / d[keep]

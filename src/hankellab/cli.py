@@ -24,8 +24,7 @@ import numpy as np
 
 from .bilinear import BHTParams, bht_fourier, bht_mu_fourier, pv_quadrature
 from .errors import HankelLabError, ParameterError
-from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, default_config,
-                          run_experiment)
+from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      multilinear_truncated_apply, truncated_apply)
 from .opnorm import section_norm_2_2
@@ -132,7 +131,7 @@ def _cmd_experiment(args):
     else:
         if not args.name:
             raise ParameterError("experiment run needs a name or --config")
-        config = default_config(args.name)
+        config = ExperimentConfig(args.name)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)

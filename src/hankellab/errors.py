@@ -4,6 +4,17 @@ All errors derive from ValueError so that callers who do not care about
 the fine-grained type can catch the usual thing.
 """
 
+__all__ = [
+    "HankelLabError",
+    "DegreeOverflowError",
+    "GridSizeError",
+    "NonAnalyticError",
+    "ParameterError",
+    "SectionSizeError",
+    "CostGuardError",
+    "UndefinedRatioError",
+]
+
 
 class HankelLabError(ValueError):
     """Base class for library-specific errors."""

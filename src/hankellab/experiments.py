@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentReport",
     "EXPERIMENTS",
     "EXPERIMENT_NAMES",
-    "default_config",
     "run_experiment",
 ]
 
@@ -97,7 +96,7 @@ class ExperimentConfig:
         name = d.pop("experiment", None)
         if name is None:
             raise ParameterError("config needs an 'experiment' key")
-        seed = d.pop("seed", 2026)
+        seed = d.pop("seed", cls.seed)
         return cls(name, seed=seed, params=d)
 
     @classmethod
@@ -146,10 +145,6 @@ class ExperimentReport:
 def _rng(*parts):
     """Deterministic per-point generator; parts may be negative ints."""
     return np.random.default_rng([int(p) % (1 << 32) for p in parts])
-
-
-def default_config(experiment: str, seed: int = 2026) -> ExperimentConfig:
-    return ExperimentConfig(experiment, seed=seed)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

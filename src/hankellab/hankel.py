@@ -15,10 +15,13 @@ beta . (i_1..i_n) + gamma <= i_0.  Two boundary conventions are supported:
 gives weight 1/2 there, so that 2*Pi - I realizes the multiplier
 sign(m - beta*n - gamma) with sign(0) = 0.
 
-Boundary residues are evaluated in floating point with tolerance 1e-8: at the
-index ranges the guards allow (|m|, |n| <= 4096, moderate beta and gamma) the
-evaluation error is below ~1e-11, while the smallest nonzero residue of the
-rational beta = k/l sweeps is 1/|l|, many orders larger.
+One rule, TruncationSpec.weights, decides the boundary for every truncation,
+linear or multilinear: output index m is kept against the threshold
+t = beta . n + gamma when m >= ceil(t - 1e-8), and for "half" the kept indices
+m <= floor(t + 1e-8) lie on the boundary.  The tolerance absorbs the rounding
+of t, below ~1e-11 at the index ranges the guards allow (|m|, |n| <= 4096,
+moderate beta and gamma), while a threshold of the rational beta = k/l sweeps
+that is not an integer stays at least 1/|l| away from one, many orders larger.
 """
 
 from __future__ import annotations
@@ -78,12 +81,20 @@ class TruncationSpec:
     def arity(self) -> int:
         return len(self.beta)
 
-    def weights(self, residual: np.ndarray) -> np.ndarray:
-        """Mask weights from the residual m - beta.n - gamma."""
+    def weights(self, m, t) -> np.ndarray:
+        """Weights of output indices m against thresholds t = beta . n +
+        gamma, broadcast together.
+
+        Index m is kept when m >= ceil(t - BOUNDARY_TOL).  For "include" the
+        result is that boolean mask; for "half" it is a float array with 1/2
+        on the kept indices m <= floor(t + BOUNDARY_TOL), which lie on the
+        boundary.
+        """
+        keep = m >= np.ceil(t - BOUNDARY_TOL)
         if self.boundary == "include":
-            return (residual >= -BOUNDARY_TOL).astype(np.float64)
-        w = (residual > BOUNDARY_TOL).astype(np.float64)
-        w[np.abs(residual) <= BOUNDARY_TOL] = 0.5
+            return keep
+        w = keep.astype(np.float64)
+        w[keep & (m <= np.floor(t + BOUNDARY_TOL))] = 0.5
         return w
 
 
@@ -91,7 +102,6 @@ class TruncationSpec:
 class MatrixSection:
     """A finite section (b_{m+n} masked) of a (truncated) Hankel operator."""
     entries: np.ndarray
-    spec: TruncationSpec | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128)
@@ -133,24 +143,11 @@ def _ensure_analytic(f: TrigPoly, what: str = "input") -> TrigPoly:
 def section_weights(spec: TruncationSpec, rows: int,
                     cols: int) -> np.ndarray:
     """Weights of a linear truncation on the rows x cols grid (output m,
-    input n): equal to spec.weights(m - beta*n - gamma), built from one
-    integer row cutoff per column instead of a float residual per entry.
-
-    Column n keeps the rows m >= ceil(beta*n + gamma - BOUNDARY_TOL).  For
-    "include" the result is that boolean mask; for "half" it is a float
-    array with 1/2 on the kept rows m <= floor(beta*n + gamma +
-    BOUNDARY_TOL), which lie on the boundary.
-    """
+    input n): spec.weights with one threshold beta*n + gamma per column."""
     if spec.arity != 1:
         raise ParameterError("linear truncation requires a length-1 beta")
     t = spec.beta[0] * np.arange(cols, dtype=np.float64) + spec.gamma
-    m = np.arange(rows, dtype=np.float64)[:, None]
-    keep = m >= np.ceil(t - BOUNDARY_TOL)
-    if spec.boundary == "include":
-        return keep
-    w = keep.astype(np.float64)
-    w[keep & (m <= np.floor(t + BOUNDARY_TOL))] = 0.5
-    return w
+    return spec.weights(np.arange(rows, dtype=np.float64)[:, None], t)
 
 
 def _section(b: TrigPoly, spec: TruncationSpec | None, rows: int,
@@ -244,8 +241,9 @@ def multilinear_truncated_apply(b: TrigPoly, spec: TruncationSpec,
         amp = amp * f.window(0, f.max_freq)[g]
     B = b.window(0, K + sum(degs))
     out = np.zeros(K + 1, dtype=np.complex128)
+    t = slope_dot + spec.gamma
     for i0 in range(K + 1):
-        W = spec.weights(i0 - slope_dot - spec.gamma)
+        W = spec.weights(i0, t)
         out[i0] = np.sum(W * amp * B[i0 + index_sum])
     return TrigPoly(out, 0)
 
@@ -294,4 +292,4 @@ def matrix_section(b: TrigPoly, spec: TruncationSpec | None,
             f"{SECTION_GUARD}")
     if spec is not None and spec.arity != 1:
         raise ParameterError("matrix sections are linear (arity 1)")
-    return MatrixSection(_section(b, spec, rows, cols), spec)
+    return MatrixSection(_section(b, spec, rows, cols))

@@ -17,8 +17,12 @@ import numpy as np
 
 from .errors import ParameterError
 from .hankel import MatrixSection
+from .serialize import poly_to_triples
 from .spaces import hardy_norm, lipschitz_norm, sup_norm
 from .trigpoly import TrigPoly, analytic_partial_sum, multiply
+
+ASCENT_ROUNDS = 3
+LEBESGUE_NODES = 48
 
 __all__ = [
     "NormEstimate",
@@ -50,8 +54,7 @@ class NormEstimate:
     def to_json_dict(self):
         w = self.witness
         if isinstance(w, TrigPoly):
-            wit = [[int(n), float(c.real), float(c.imag)]
-                   for n, c in w.to_pairs()]
+            wit = poly_to_triples(w)
         elif w is None:
             wit = None
         else:
@@ -86,7 +89,7 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
         np.asarray(section, dtype=np.complex128)
     if A.ndim != 2:
         raise ParameterError("section must be a 2-D array")
-    if A.size == 0 or not np.any(A):
+    if A.size == 0:
         return NormEstimate(0.0, "power_iteration", 0, 0.0,
                             np.zeros(A.shape[1], dtype=np.complex128), True)
     if v0 is not None:
@@ -152,10 +155,11 @@ def _candidate_inputs(degree: int, samples: int, rng):
 
 
 def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
-                    seed=0, ascent_rounds: int = 3) -> NormEstimate:
+                    seed=0) -> NormEstimate:
     """Lower bound for the H^q -> H^p norm of `op` over inputs of bounded
     degree: hardy_norm(op(f), p) / hardy_norm(f, q) maximized over structured
-    samples, then improved by coordinate ascent on the best candidate.
+    samples, then improved by up to ASCENT_ROUNDS rounds of coordinate ascent
+    on the best candidate.
 
     The value is a guaranteed lower bound (every evaluated ratio is one).
     A degenerate operator (all candidates annihilated) yields value 0 with
@@ -188,7 +192,7 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
 
     coeffs = best_f.window(0, degree)
     step = 0.5 * float(np.abs(coeffs).max())
-    for _ in range(ascent_rounds):
+    for _ in range(ASCENT_ROUNDS):
         improved = False
         for idx in range(degree + 1):
             for delta in (step, -step, 1j * step, -1j * step):
@@ -206,17 +210,17 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
     return NormEstimate(best_val, "ratio_search", evals, 0.0, witness, True)
 
 
-def lebesgue_constant(N: int, nodes: int = 48) -> float:
+def lebesgue_constant(N: int) -> float:
     """L_N = (1/2pi) int |D_N|, by Gauss-Legendre panels between the 2N+1
     equally spaced roots of the Dirichlet kernel (D_N is single-signed on
     each panel, so the absolute value commutes with panel integration).
-    Relative accuracy far below 1e-6 for the default panel order."""
+    Relative accuracy far below 1e-6 with LEBESGUE_NODES nodes per panel."""
     N = int(N)
     if N < 0:
         raise ParameterError("N must be nonnegative")
     if N == 0:
         return 1.0
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes))
+    xg, wg = np.polynomial.legendre.leggauss(LEBESGUE_NODES)
     bounds = 2.0 * np.pi * np.arange(2 * N + 2) / (2 * N + 1)
     a, b = bounds[:-1], bounds[1:]
     half = 0.5 * (b - a)[:, None]

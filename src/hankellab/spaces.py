@@ -43,9 +43,6 @@ class HardyNorm:
     grid_size: int
     converged: bool
 
-    def csv_row(self):
-        return (self.p, "boundary_lp", self.value, self.grid_size)
-
 
 @dataclass(frozen=True)
 class LipschitzNorm:
@@ -59,9 +56,6 @@ class LipschitzNorm:
     method: str
     certificates: tuple = field(default_factory=tuple)
 
-    def csv_row(self):
-        return (self.alpha, self.method, self.value, len(self.certificates))
-
 
 def _start_grid(degree: int) -> int:
     """Initial refinement grid: 8*degree rounded up to a power of two."""
@@ -72,27 +66,25 @@ def _start_grid(degree: int) -> int:
     return min(G, GRID_CAP)
 
 
-def _refine(measure, G: int, rel_tol: float = REFINE_REL_TOL,
-            cap: int = GRID_CAP):
+def _refine(measure, G: int):
     """(value, grid_size, converged): doubles G until two successive values
-    of measure(G) agree to rel_tol, or G reaches cap."""
+    of measure(G) agree to REFINE_REL_TOL, or G reaches GRID_CAP."""
     prev = measure(G)
-    while G < cap:
+    while G < GRID_CAP:
         G *= 2
         cur = measure(G)
-        if abs(cur - prev) <= rel_tol * max(cur, 1e-300):
+        if abs(cur - prev) <= REFINE_REL_TOL * max(cur, 1e-300):
             return cur, G, True
         prev = cur
     return prev, G, False
 
 
-def sup_norm(f: TrigPoly, rel_tol: float = REFINE_REL_TOL,
-             cap: int = GRID_CAP):
+def sup_norm(f: TrigPoly):
     """(value, grid_size, converged): refined-grid maximum of |f|."""
     if f.is_zero:
         return 0.0, 16, True
     return _refine(lambda G: float(np.abs(eval_grid(f, Grid(G))).max()),
-                   _start_grid(f.span), rel_tol, cap)
+                   _start_grid(f.span))
 
 
 def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DegreeOverflowError, GridSizeError, NonAnalyticError
 
-DEFAULT_PRUNE_TOL = 1e-14
-DEFAULT_MAX_DEGREE = 1 << 16
+PRUNE_TOL = 1e-14
+MAX_DEGREE = 1 << 16
 
 __all__ = [
     "TrigPoly",
@@ -43,6 +43,8 @@ __all__ = [
     "lp_window_weight",
     "lp_block",
     "lp_decompose",
+    "block_index",
+    "top_block_index",
     "inner",
     "coeff_distance",
     "random_poly",
@@ -53,9 +55,10 @@ class TrigPoly:
     """Dense complex coefficients over a frequency window [min_freq, max_freq].
 
     The representation is canonical: coefficients with modulus at or below
-    the pruning tolerance are flushed to exact zero and the window is trimmed
-    so both endpoint coefficients are nonzero.  The zero polynomial is the
-    empty window with min_freq = 0.
+    PRUNE_TOL are flushed to exact zero and the window is trimmed so both
+    endpoint coefficients are nonzero.  The zero polynomial is the empty
+    window with min_freq = 0.  A window with max(|min_freq|, |max_freq|)
+    above MAX_DEGREE raises DegreeOverflowError.
 
     Parameters
     ----------
@@ -63,21 +66,16 @@ class TrigPoly:
         Coefficients c_{min_freq}, c_{min_freq+1}, ... in frequency order.
     min_freq : int
         Frequency of the first entry of `coeffs`.
-    prune_tol : float
-        Entries with modulus <= prune_tol are treated as exact zeros.
-    max_degree : int
-        Guard: max(|min_freq|, |max_freq|) must not exceed this.
     """
 
     __slots__ = ("_coeffs", "_min_freq")
 
-    def __init__(self, coeffs, min_freq=0, prune_tol=DEFAULT_PRUNE_TOL,
-                 max_degree=DEFAULT_MAX_DEGREE):
+    def __init__(self, coeffs, min_freq=0):
         arr = np.array(coeffs, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if arr.size:
-            arr[np.abs(arr) <= prune_tol] = 0.0
+            arr[np.abs(arr) <= PRUNE_TOL] = 0.0
             nz = np.flatnonzero(arr)
             if nz.size:
                 arr = arr[nz[0]:nz[-1] + 1]
@@ -89,10 +87,10 @@ class TrigPoly:
             min_freq = 0
         if arr.size:
             hi = min_freq + arr.size - 1
-            if max(abs(min_freq), abs(hi)) > max_degree:
+            if max(abs(min_freq), abs(hi)) > MAX_DEGREE:
                 raise DegreeOverflowError(
                     f"frequency window [{min_freq}, {hi}] exceeds the degree "
-                    f"bound {max_degree}")
+                    f"bound {MAX_DEGREE}")
         arr.setflags(write=False)
         self._coeffs = arr
         self._min_freq = int(min_freq)
@@ -331,13 +329,12 @@ def coeffs_from_grid(values, min_freq: int, max_freq: int,
 
 # -- coefficient operations ------------------------------------------------
 
-def multiply(f: TrigPoly, g: TrigPoly,
-             max_degree: int = DEFAULT_MAX_DEGREE) -> TrigPoly:
+def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product, i.e. convolution of coefficient sequences."""
     if f.is_zero or g.is_zero:
         return TrigPoly.zero()
     conv = np.convolve(f.coeffs, g.coeffs)
-    return TrigPoly(conv, f.min_freq + g.min_freq, max_degree=max_degree)
+    return TrigPoly(conv, f.min_freq + g.min_freq)
 
 
 def analytic_part(f: TrigPoly) -> TrigPoly:
@@ -402,8 +399,7 @@ def translate(f: TrigPoly, y: float) -> TrigPoly:
     return TrigPoly(f.coeffs * np.exp(1j * f.frequencies() * y), f.min_freq)
 
 
-def stretch(f: TrigPoly, factor: int,
-            max_degree: int = DEFAULT_MAX_DEGREE) -> TrigPoly:
+def stretch(f: TrigPoly, factor: int) -> TrigPoly:
     """f(t) -> f(factor*t): coefficient at n moves to factor*n.
 
     `factor` is a nonzero integer (negative factors compose with flip).
@@ -417,7 +413,7 @@ def stretch(f: TrigPoly, factor: int,
     lo, hi = int(n.min()), int(n.max())
     buf = np.zeros(hi - lo + 1, dtype=np.complex128)
     buf[n - lo] = f.coeffs
-    return TrigPoly(buf, lo, max_degree=max_degree)
+    return TrigPoly(buf, lo)
 
 
 # -- Littlewood-Paley blocks -------------------------------------------------

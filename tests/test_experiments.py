@@ -11,8 +11,7 @@ import yaml
 from hankellab.cli import main
 from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
-                                   ExperimentConfig, default_config,
-                                   run_experiment)
+                                   ExperimentConfig, run_experiment)
 from hankellab.serialize import load_poly
 
 TINY = {
@@ -55,9 +54,10 @@ def tiny_config(name, seed=2026):
 
 def test_default_configs_build_for_every_experiment():
     for name in EXPERIMENT_NAMES:
-        cfg = default_config(name)
+        cfg = ExperimentConfig(name)
         assert cfg.experiment == name and cfg.seed == 2026
         assert cfg.params        # defaults merged in
+        assert ExperimentConfig.from_dict({"experiment": name}) == cfg
 
 
 def test_unknown_experiment_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from hankellab.errors import (CostGuardError, NonAnalyticError,
                               ParameterError, SectionSizeError)
-from hankellab.hankel import (MatrixSection, TruncationSpec,
+from hankellab.hankel import (BOUNDARY_TOL, MatrixSection, TruncationSpec,
                               beta_minus_one_identity_check,
                               beta_zero_identity_check,
                               column_truncation_apply, hankel_apply,
@@ -75,9 +75,23 @@ def test_truncation_spec_validation():
 def test_boundary_weights_include_vs_half():
     spec_i = TruncationSpec((1.0,), 0.0, boundary="include")
     spec_h = TruncationSpec((1.0,), 0.0, boundary="half")
-    resid = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])
-    np.testing.assert_allclose(spec_i.weights(resid), [0, 1, 1, 1, 1])
-    np.testing.assert_allclose(spec_h.weights(resid), [0, 0.5, 0.5, 0.5, 1])
+    # output index 3 against thresholds at residual 3 - t = -1, -1e-12, 0,
+    # 1e-12, 1: the three within BOUNDARY_TOL of the boundary count as on it
+    t = 3.0 - np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])
+    np.testing.assert_array_equal(spec_i.weights(3, t),
+                                  [False, True, True, True, True])
+    np.testing.assert_array_equal(spec_h.weights(3, t),
+                                  [0, 0.5, 0.5, 0.5, 1])
+
+
+def _residual_weights(boundary, residual):
+    """The boundary rule evaluated on the float residual m - beta*n - gamma,
+    an independent reference for the integer cutoffs of TruncationSpec."""
+    if boundary == "include":
+        return (residual >= -BOUNDARY_TOL).astype(np.float64)
+    w = (residual > BOUNDARY_TOL).astype(np.float64)
+    w[np.abs(residual) <= BOUNDARY_TOL] = 0.5
+    return w
 
 
 @pytest.mark.parametrize("boundary", ["include", "half"])
@@ -93,7 +107,7 @@ def test_section_weights_match_residual_weights(boundary):
         for gamma in [-9.0, -2.0 / 3.0, 0.0, 1.0 / 7.0, 0.37, 2.5, 11.0,
                       -4.2]:
             spec = TruncationSpec((beta,), gamma, boundary=boundary)
-            ref = spec.weights(m - beta * n - gamma)
+            ref = _residual_weights(boundary, m - beta * n - gamma)
             got = section_weights(spec, rows, cols)
             assert np.array_equal(got, ref), (beta, gamma)
     with pytest.raises(ParameterError):
@@ -194,6 +208,30 @@ def test_multilinear_truncated_matches_direct_loops():
                     s = i0 + i1 + i2
                     if s < B.size:
                         out[i0] += B[s] * f1.coeffs[i1] * f2.coeffs[i2]
+    assert coeff_distance(got, TrigPoly(out, 0)) <= 1e-12
+
+
+def test_multilinear_half_boundary_matches_sign_loop():
+    # 2 Pi - I acts as sign(i0 - beta . (i1, i2) - gamma) on each tuple; the
+    # dyadic beta and gamma make every residual exact in floating point, so
+    # the tuples on the boundary get sign 0 there and weight 1/2 here
+    rng = np.random.default_rng(71)
+    b = random_poly(rng, 14)
+    f1 = random_poly(rng, 6)
+    f2 = random_poly(rng, 5)
+    beta, gamma = (0.5, -0.25), 0.75
+    got = multilinear_truncated_apply(
+        b, TruncationSpec(beta, gamma, boundary="half"), [f1, f2])
+    out = np.zeros(15, dtype=complex)
+    on_boundary = 0
+    for i0 in range(15):
+        for i1 in range(f1.coeffs.size):
+            for i2 in range(f2.coeffs.size):
+                sign = np.sign(i0 - beta[0] * i1 - beta[1] * i2 - gamma)
+                on_boundary += sign == 0
+                out[i0] += (0.5 * (1.0 + sign) * b.coeff(i0 + i1 + i2)
+                            * f1.coeffs[i1] * f2.coeffs[i2])
+    assert on_boundary > 0
     assert coeff_distance(got, TrigPoly(out, 0)) <= 1e-12
 
 

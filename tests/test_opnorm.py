@@ -26,6 +26,9 @@ def test_golden_ratio_section():
 def test_zero_section():
     est = section_norm_2_2(np.zeros((4, 4)))
     assert est.value == 0.0 and est.converged
+    # one sweep finds A*A v = 0 and returns the unit start vector as witness
+    assert est.iterations == 1
+    assert abs(np.linalg.norm(est.witness) - 1.0) <= 1e-12
 
 
 def test_power_iteration_matches_svd():

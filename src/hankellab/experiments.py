@@ -32,7 +32,7 @@ from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      beta_minus_one_identity_check, section_weights)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
-from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratio,
+from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratios,
                      random_symbol)
 from .trigpoly import (Grid, coeff_distance, eval_grid, flip, multiply,
                        random_poly, tail_projection)
@@ -478,6 +478,10 @@ def log_growth_rows(config: ExperimentConfig) -> list:
     v = full.witness
     for N in range(0, S + 1, int(p["section_N_step"])):
         W = section_weights(TruncationSpec((-1.0,), N), S, S)
+        if W.all():
+            # identical matrices; nothing to iterate
+            rows.append(("pi_minus1", N, 1.0, 0.0))
+            continue
         est = section_norm_2_2(W * H, tol=1e-9, v0=v)
         if est.witness is not None and est.value > 0:
             v = est.witness
@@ -642,17 +646,16 @@ def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
     factors = [float(x) for x in p["M_factors"]]
     seeds = int(p["seeds"])
 
+    pairs = [(N, int(round(fac * N))) for N in n_grid for fac in factors]
     for alpha in alphas:
-        symbols = [random_symbol(alpha, int(p["symbol_max_block"]),
-                                 [config.seed, 71, s])
-                   for s in range(seeds)]
-        for N in n_grid:
-            for fac in factors:
-                M = int(round(fac * N))
-                for s in range(seeds):
-                    rows.append((alpha, N, M, s,
-                                 modulated_norm_ratio(symbols[s], alpha, N,
-                                                      M)))
+        ratios = []
+        for s in range(seeds):
+            b = random_symbol(alpha, int(p["symbol_max_block"]),
+                              [config.seed, 71, s])
+            ratios.append(modulated_norm_ratios(b, alpha, pairs))
+        for i, (N, M) in enumerate(pairs):
+            for s in range(seeds):
+                rows.append((alpha, N, M, s, ratios[s][i]))
     return rows
 
 

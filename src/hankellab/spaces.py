@@ -1,10 +1,12 @@
 """Computable Hardy and Lipschitz norms for analytic trigonometric polynomials.
 
 Hardy quasi-norms ||f||_{H^p} (p > 0, p = inf allowed) are boundary L^p means
-on progressively refined grids.  The canonical Lipschitz norm Lambda_alpha is
-the Littlewood-Paley block norm sup_j 2^{j alpha} ||b_j||_inf, which works for
-every alpha > 0; the classical difference-quotient norm is implemented for
-0 < alpha < 1 as an equivalence cross-check only.
+on progressively refined grids, except at p = 2, where Parseval gives the
+norm in closed form as the l^2 norm of the coefficients.  The canonical
+Lipschitz norm Lambda_alpha is the Littlewood-Paley block norm
+sup_j 2^{j alpha} ||b_j||_inf, which works for every alpha > 0; the
+classical difference-quotient norm is implemented for 0 < alpha < 1 as an
+equivalence cross-check only.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ __all__ = [
     "random_symbol",
     "reduction_index",
     "reduce_symbol",
-    "modulated_norm_ratio",
+    "modulated_norm_ratios",
 ]
 
 
 @dataclass(frozen=True)
 class HardyNorm:
-    """Result of a Hardy quasi-norm evaluation."""
+    """Result of a Hardy quasi-norm evaluation.
+
+    `grid_size` is the last grid the value was measured on; 0 means closed
+    form, no grid (p = 2, by Parseval).
+    """
     p: float
     value: float
     grid_size: int
@@ -90,13 +96,18 @@ def sup_norm(f: TrigPoly):
 def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
     """Boundary L^p quasi-norm ((1/G) sum |f(t_j)|^p)^{1/p}, p = inf allowed.
 
-    Defined for analytic polynomials only; the grid is refined (doubled) until
-    the value is stable to 1e-8 relative, capped at 2^20 nodes.
+    Defined for analytic polynomials only.  At p = 2 the norm is exact by
+    Parseval, ||f||_{H^2} = (sum |c_n|^2)^{1/2}, and is returned with
+    grid_size 0 (closed form, no grid).  For every other p the grid is
+    refined (doubled) until the value is stable to 1e-8 relative, capped at
+    2^20 nodes.
     """
     if not f.is_analytic:
         raise NonAnalyticError("hardy_norm requires an analytic polynomial")
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
+    if p == 2:
+        return HardyNorm(2.0, float(np.linalg.norm(f.coeffs)), 0, True)
     if f.is_zero:
         return HardyNorm(p, 0.0, 16, True)
     if math.isinf(p):
@@ -228,18 +239,24 @@ def reduce_symbol(b: TrigPoly, N: int) -> TrigPoly:
     return tail_projection(b, 1 << (n0 - 2))
 
 
-def modulated_norm_ratio(b: TrigPoly, alpha: float, N: int, M: int) -> float:
-    """lipschitz_norm(reduce_symbol(b,N) * zeta^M, alpha) divided by
-    (|M|/(N+1) + 1)^alpha * lipschitz_norm(b, alpha)."""
+def modulated_norm_ratios(b: TrigPoly, alpha: float, pairs) -> list:
+    """For each (N, M) in pairs, in order,
+    lipschitz_norm(reduce_symbol(b,N) * zeta^M, alpha) divided by
+    (|M|/(N+1) + 1)^alpha * lipschitz_norm(b, alpha).
+
+    The denominator norm lipschitz_norm(b, alpha) is computed once."""
     den_norm = lipschitz_norm(b, alpha).value
     if den_norm == 0.0:
         raise UndefinedRatioError("zero symbol has no modulated norm ratio")
-    bt = reduce_symbol(b, N)
-    shifted = multiply(bt, TrigPoly.character(int(M)))
-    if not shifted.is_analytic:
-        raise NonAnalyticError(
-            "modulation pushed the symbol outside the analytic range; "
-            "|M| must not exceed the reduced symbol's lowest frequency")
-    num = lipschitz_norm(shifted, alpha).value
-    scale = (abs(int(M)) / (int(N) + 1.0) + 1.0) ** alpha
-    return num / (scale * den_norm)
+    ratios = []
+    for N, M in pairs:
+        bt = reduce_symbol(b, N)
+        shifted = multiply(bt, TrigPoly.character(int(M)))
+        if not shifted.is_analytic:
+            raise NonAnalyticError(
+                "modulation pushed the symbol outside the analytic range; "
+                "|M| must not exceed the reduced symbol's lowest frequency")
+        num = lipschitz_norm(shifted, alpha).value
+        scale = (abs(int(M)) / (int(N) + 1.0) + 1.0) ** alpha
+        ratios.append(num / (scale * den_norm))
+    return ratios

@@ -22,8 +22,8 @@ from hankellab.opnorm import (lebesgue_constant, section_norm_2_2,
                               sn_extremal_lower_bound)
 from hankellab.spaces import (hardy_norm, lipschitz_norm, lipschitz_norm_diff,
                               random_symbol, reduce_symbol)
-from hankellab.trigpoly import (TrigPoly, coeff_distance, random_poly,
-                                tail_projection)
+from hankellab.trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid,
+                                random_poly, tail_projection)
 
 
 def _record(log, num, ok, detail):
@@ -71,7 +71,10 @@ def test_criterion_03_dual_path_and_parseval(acceptance_log):
         d = coeff_distance(hankel_apply(b, f, method="direct"),
                            hankel_apply(b, f, method="projection"))
         worst_pair = max(worst_pair, d)
-        l2 = float(np.linalg.norm(f.coeffs))
+        # hardy_norm(f, 2) sums coefficients (Parseval); the oracle is the
+        # boundary mean of |f|^2 on a grid above the span
+        G = 1 << (2 * f.span).bit_length()
+        l2 = math.sqrt(float(np.mean(np.abs(eval_grid(f, Grid(G))) ** 2)))
         worst_parseval = max(worst_parseval,
                              abs(hardy_norm(f, 2.0).value - l2) / l2)
     ok = worst_pair <= 1e-12 and worst_parseval <= 1e-8

@@ -13,6 +13,8 @@ from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, run_experiment)
 from hankellab.serialize import load_poly
+from hankellab.spaces import lipschitz_norm, random_symbol, reduce_symbol
+from hankellab.trigpoly import TrigPoly, multiply
 
 TINY = {
     "identity_suite": {
@@ -154,8 +156,10 @@ def test_log_growth_tiny_rows():
     assert [N for N, _, _ in leb] == [16, 32]
     for N, v, extra in leb:
         assert abs(extra - v / np.log(N)) <= 1e-12
-    pim = [v for kind, _, v, _ in rep.rows if kind == "pi_minus1"]
-    assert pim and max(pim) <= 1.0 + 1e-9
+    pim = [(N, v) for kind, N, v, _ in rep.rows if kind == "pi_minus1"]
+    assert pim and max(v for _, v in pim) <= 1.0 + 1e-9
+    # Pi_{-1,0} keeps every entry: the ratio is 1 exactly, not iterated
+    assert pim[0] == (0, 1.0)
 
 
 def test_constant_stability_tiny_structure():
@@ -177,6 +181,30 @@ def test_lemma_tiny_ratios():
     base = [r for a, N, M, s, r in rep.rows if M == 0]
     assert max(abs(r - 1.0) for r in base) <= 1e-9
     assert rep.summary["sup_ratio"] == max(row[-1] for row in rep.rows)
+
+
+def test_lemma_rows_match_per_pair_denominator():
+    # reference: the ratio with lipschitz_norm(b) recomputed for every pair
+    params = dict(TINY["lemma_lipschitz_sweep"], alphas=[0.5, 1.0],
+                  M_factors=[0.0, 0.5, 1.0, 4.0])
+    cfg = ExperimentConfig("lemma_lipschitz_sweep", seed=2026, params=params)
+    rows = run_experiment(cfg).rows
+    ref = []
+    for alpha in params["alphas"]:
+        symbols = [random_symbol(alpha, params["symbol_max_block"],
+                                 [cfg.seed, 71, s])
+                   for s in range(params["seeds"])]
+        for N in params["N_grid"]:
+            for fac in params["M_factors"]:
+                M = int(round(fac * N))
+                for s, b in enumerate(symbols):
+                    shifted = multiply(reduce_symbol(b, N),
+                                       TrigPoly.character(M))
+                    num = lipschitz_norm(shifted, alpha).value
+                    scale = (abs(M) / (N + 1.0) + 1.0) ** alpha
+                    ref.append((alpha, N, M, s,
+                                num / (scale * lipschitz_norm(b, alpha).value)))
+    assert [repr(r) for r in rows] == [repr(r) for r in ref]
 
 
 # -- report files ----------------------------------------------------------------

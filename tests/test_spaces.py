@@ -8,10 +8,10 @@ import pytest
 from hankellab.errors import (NonAnalyticError, ParameterError,
                               UndefinedRatioError)
 from hankellab.spaces import (hardy_norm, lipschitz_norm, lipschitz_norm_diff,
-                              modulated_norm_ratio, random_symbol,
+                              modulated_norm_ratios, random_symbol,
                               reduce_symbol, reduction_index, sup_norm)
-from hankellab.trigpoly import (TrigPoly, coeff_distance, random_poly,
-                                tail_projection)
+from hankellab.trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid,
+                                random_poly, tail_projection)
 
 
 # -- hardy_norm ---------------------------------------------------------------
@@ -32,13 +32,26 @@ def test_hardy_norm_one_plus_z():
     assert h.converged
 
 
+def grid_h2(f):
+    """sqrt(mean |f|^2) on a power-of-two grid above the span: the boundary
+    mean computed from values, independent of the coefficient formula."""
+    G = 1 << (2 * f.span).bit_length()
+    return math.sqrt(float(np.mean(np.abs(eval_grid(f, Grid(G))) ** 2)))
+
+
 def test_hardy_norm_parseval():
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        f = random_poly(rng, int(rng.integers(0, 60)))
+    polys = [TrigPoly.zero(), TrigPoly.constant(1.0),
+             TrigPoly.constant(-2.5 + 0.5j), TrigPoly.character(4000)]
+    polys += [random_poly(rng, int(rng.integers(0, 60))) for _ in range(25)]
+    polys += [random_poly(rng, d, int(rng.integers(0, 100)))
+              for d in (511, 1024, 2047, 4095)]
+    polys.append(random_poly(rng, 4096))       # span 4096
+    for f in polys:
         h = hardy_norm(f, 2.0)
-        parseval = math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
-        assert abs(h.value - parseval) <= 1e-8 * max(parseval, 1.0)
+        ref = grid_h2(f)
+        assert abs(h.value - ref) <= 1e-8 * max(ref, 1.0)
+        assert h.converged and h.grid_size == 0
 
 
 def test_hardy_norm_homogeneity_and_triangle():
@@ -193,18 +206,19 @@ def test_reduce_symbol_high_spectrum_untouched():
 
 def test_modulated_ratio_trivial_case():
     b = random_symbol(0.5, 4, 21)
-    assert abs(modulated_norm_ratio(b, 0.5, 10, 0) - 1.0) <= 1e-12
+    [r] = modulated_norm_ratios(b, 0.5, [(10, 0)])
+    assert abs(r - 1.0) <= 1e-12
 
 
 def test_modulated_ratio_zero_symbol_error():
     with pytest.raises(UndefinedRatioError):
-        modulated_norm_ratio(TrigPoly.zero(), 0.5, 8, 8)
+        modulated_norm_ratios(TrigPoly.zero(), 0.5, [(8, 8)])
 
 
 def test_modulated_ratio_scale_invariant():
     b = random_symbol(0.5, 6, 33)
-    r1 = modulated_norm_ratio(b, 0.5, 32, 64)
-    r2 = modulated_norm_ratio(5.0j * b, 0.5, 32, 64)
+    [r1] = modulated_norm_ratios(b, 0.5, [(32, 64)])
+    [r2] = modulated_norm_ratios(5.0j * b, 0.5, [(32, 64)])
     assert abs(r1 - r2) <= 1e-9 * max(r1, 1.0)
 
 
@@ -213,7 +227,7 @@ def test_modulated_ratio_example_sweep():
     worst = 0.0
     for s in range(50):
         b = random_symbol(0.5, 8, [7, s])
-        worst = max(worst, modulated_norm_ratio(b, 0.5, 64, 64))
+        worst = max(worst, *modulated_norm_ratios(b, 0.5, [(64, 64)]))
     assert worst <= 10.0
 
 

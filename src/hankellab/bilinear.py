@@ -5,17 +5,23 @@ elementary building block is the conjugate-function pairing
 
     (1/2pi) p.v. int_T e^{ist} cot((x - t)/2) dt = -i sign(s) e^{isx},
 
-with sign(0) = 0.  Two operator families are implemented coefficientwise:
+with sign(0) = 0.  Both transforms belong to one family of integrals,
 
-  plain (k,l) form, for b = sum_p b_p e^{ipu} and f = sum_q a_q e^{iqt}:
+    (1/2pi) p.v. int [b(kx + lt) e^{i mu (x-t)} - base b(Lx)] f(scale t)
+                     cot((x-t)/2) dt,        L = k + l,
 
-      H_{k,l}(b, f)(x) = (1/2pi) p.v. int b(kx + lt) f(t) cot((x-t)/2) dt
-                       = sum_{p,q} (-i) sign(pl + q) b_p a_q e^{i((k+l)p+q)x}
+expanded coefficientwise for b = sum_p b_p e^{ipu} and f = sum_q a_q e^{iqt}:
+the first term pairs the x-frequency kp + mu with the t-frequency
+lp - mu + scale q, and the base term pairs Lp with scale q.  The two forms
+fix (scale, mu, base):
 
-  mu form (f analytic, L = k + l):
+  plain (k,l) form, b and f arbitrary, (scale, mu, base) = (1, 0, 0):
+
+      H_{k,l}(b, f)(x) = sum_{p,q} (-i) sign(pl + q) b_p a_q e^{i((k+l)p+q)x}
+
+  mu form, f analytic, (scale, mu, base) = (L, mu, 1):
 
       H_{k,l,mu}(b, f)(x)
-        = (1/2pi) p.v. int [b(kx+lt) e^{i mu (x-t)} - b(Lx)] f(Lt) cot((x-t)/2) dt
         = sum_{p,q} (-i) [sign(pl + qL - mu) - sign(qL)] b_p a_q e^{i(p+q)Lx}
 
 so the mu-form output spectrum lies in L*Z.  Both formulas are validated
@@ -42,7 +48,6 @@ __all__ = [
     "pv_quadrature",
     "link_identity_check",
     "translation_covariance_check",
-    "real_line_bht",
 ]
 
 
@@ -86,31 +91,48 @@ def _pairing(x_freqs, t_freqs, amps) -> TrigPoly:
     return TrigPoly(buf, lo)
 
 
-def bht_fourier(b: TrigPoly, f: TrigPoly, k: int, l: int) -> TrigPoly:
-    """Coefficientwise H_{k,l}(b, f); b and f arbitrary trig polynomials."""
-    params = BHTParams(k, l, 0)
+def _form(variant: str, f: TrigPoly, params: BHTParams):
+    """(scale, mu, base) of the named form, after its admissibility checks:
+    "plain_kl" is (1, 0, False) and needs mu = 0; "mu_form" is
+    (L, mu, True) and needs analytic f."""
+    if variant == "plain_kl":
+        if params.mu != 0:
+            raise ParameterError(
+                f"the plain (k,l) form has no modulation, got mu={params.mu}")
+        return 1, 0, False
+    if variant == "mu_form":
+        if not f.is_analytic:
+            raise NonAnalyticError("the mu form requires analytic f")
+        return params.L, params.mu, True
+    raise ParameterError(f"unknown variant {variant!r}")
+
+
+def _bht_coeffs(b: TrigPoly, f: TrigPoly, params: BHTParams,
+                variant: str) -> TrigPoly:
+    """Coefficientwise transform of the named form: the x-frequencies
+    kp + mu pair with the t-frequencies lp - mu + scale*q over the
+    frequencies q of f itself; base subtracts the (Lp, scale*q) pairing."""
+    scale, mu, base = _form(variant, f, params)
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
+    k, l = params.k, params.l
     p = b.frequencies()[:, None]
     q = f.frequencies()[None, :]
     amps = b.coeffs[:, None] * f.coeffs[None, :]
-    return _pairing(params.k * p + 0 * q, params.l * p + q, amps)
+    out = _pairing(k * p + mu + 0 * q, l * p - mu + scale * q, amps)
+    if base:
+        out = out + _pairing(params.L * p + 0 * q, scale * q + 0 * p, -amps)
+    return out
+
+
+def bht_fourier(b: TrigPoly, f: TrigPoly, k: int, l: int) -> TrigPoly:
+    """Coefficientwise H_{k,l}(b, f); b and f arbitrary trig polynomials."""
+    return _bht_coeffs(b, f, BHTParams(k, l, 0), "plain_kl")
 
 
 def bht_mu_fourier(b: TrigPoly, f: TrigPoly, params: BHTParams) -> TrigPoly:
     """Coefficientwise H_{k,l,mu}(b, f); f must be analytic."""
-    if not f.is_analytic:
-        raise NonAnalyticError("the mu form requires analytic f")
-    if b.is_zero or f.is_zero:
-        return TrigPoly.zero()
-    k, l, mu, L = params.k, params.l, params.mu, params.L
-    p = b.frequencies()[:, None]
-    q = f.frequencies()[None, :]
-    amps = b.coeffs[:, None] * f.coeffs[None, :]
-    zeros = np.zeros_like(p * q)
-    first = _pairing(k * p + mu + zeros, l * p - mu + L * q, amps)
-    second = _pairing(L * p + zeros, L * q + zeros, -amps)
-    return first + second
+    return _bht_coeffs(b, f, params, "mu_form")
 
 
 def _cot_kernel(G: int) -> np.ndarray:
@@ -128,67 +150,53 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     staggered at t_j = 2pi (j + 1/2)/G, so the singularity is never sampled
     and the rule is exact for integrand frequencies up to G/2.
 
-    variant "plain_kl" integrates b(kx + lt) f(t) against the cot kernel;
-    variant "mu_form" integrates [b(kx+lt) e^{i mu (x-t)} - b((k+l)x)] f((k+l)t).
+    variant "plain_kl" integrates b(kx + lt) f(t) against the cot kernel
+    (mu must be 0); variant "mu_form" integrates
+    [b(kx+lt) e^{i mu (x-t)} - b((k+l)x)] f((k+l)t).
     method "fft" uses one circular convolution per symbol frequency; method
     "direct" forms the chunked O(G^2) double sum.  Both are rearrangements of
     the same finite sums.
     """
     nodes = Grid(G, staggered=True)
     G = nodes.size
-    if variant not in ("plain_kl", "mu_form"):
-        raise ParameterError(f"unknown variant {variant!r}")
+    scale, mu, base = _form(variant, f, params)
     if method not in ("fft", "direct"):
         raise ParameterError(f"unknown method {method!r}")
-    if variant == "mu_form" and not f.is_analytic:
-        raise NonAnalyticError("the mu form requires analytic f")
     if b.is_zero or f.is_zero:
         return np.zeros(G, dtype=np.complex128)
 
-    k, l, mu, L = params.k, params.l, params.mu, params.L
+    k, l, L = params.k, params.l, params.L
     grid = Grid(G)
     x = grid.points()
     t = nodes.points()
-    if variant == "plain_kl":
-        fvals = eval_grid(f, nodes)                 # f(t_j)
-        t_extra = 0
-    else:
-        fvals = eval_grid(stretch(f, L), nodes)     # f(L t_j)
-        t_extra = abs(mu)
-    max_t_freq = abs(l) * b.degree + t_extra + \
-        (f.degree if variant == "plain_kl" else abs(L) * f.degree)
+    g = eval_grid(stretch(f, scale), nodes)         # f(scale t_j)
+    max_t_freq = abs(l) * b.degree + abs(mu) + abs(scale) * f.degree
     if 2 * max_t_freq > G:
         warnings.warn(
             f"quadrature grid G={G} is below the exactness threshold "
             f"{2 * max_t_freq} for these degrees; results are approximate",
             RuntimeWarning, stacklevel=2)
 
+    out = np.zeros(G, dtype=np.complex128)
     if method == "fft":
         khat = np.fft.fft(_cot_kernel(G))
 
         def conv(h):
             return np.fft.ifft(np.fft.fft(h) * khat)
 
-        out = np.zeros(G, dtype=np.complex128)
-        ps = b.frequencies()
-        cs = b.coeffs
-        if variant == "plain_kl":
-            for p, bp in zip(ps, cs):
-                out += bp * np.exp(1j * k * p * x) * \
-                    conv(np.exp(1j * l * p * t) * fvals)
-        else:
-            base = conv(fvals)
-            for p, bp in zip(ps, cs):
-                out += bp * np.exp(1j * (k * p + mu) * x) * \
-                    conv(np.exp(1j * (l * p - mu) * t) * fvals)
-                out -= bp * np.exp(1j * L * p * x) * base
+        if base:
+            base_conv = conv(g)
+        for p, bp in zip(b.frequencies(), b.coeffs):
+            out += bp * np.exp(1j * (k * p + mu) * x) * \
+                conv(np.exp(1j * (l * p - mu) * t) * g)
+            if base:
+                out -= bp * np.exp(1j * L * p * x) * base_conv
         return out
 
     # direct: chunked double sums over the kernel matrix
-    out = np.zeros(G, dtype=np.complex128)
     # b(k x_i + l t_j) = bvals[(k i + l j) mod G] with a fixed offset l*pi/G
     bvals = eval_grid(translate(b, np.pi * l / G), grid)
-    if variant == "mu_form":
+    if base:
         bL = eval_grid(stretch(b, L), grid)
     chunk = max(1, (1 << 22) // G)
     j = np.arange(G)
@@ -197,13 +205,11 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
         i = np.arange(start, stop)
         kern = (1.0 / G) / np.tan(
             np.pi * (i[:, None] - j[None, :] - 0.5) / G)
-        barg = bvals[(k * i[:, None] + l * j[None, :]) % G]
-        if variant == "plain_kl":
-            integ = barg * fvals[None, :]
-        else:
-            phase = np.exp(1j * mu * (x[i][:, None] - t[None, :]))
-            integ = (barg * phase - bL[i][:, None]) * fvals[None, :]
-        out[start:stop] = np.sum(integ * kern, axis=1)
+        integ = bvals[(k * i[:, None] + l * j[None, :]) % G] * \
+            np.exp(1j * mu * (x[i][:, None] - t[None, :]))
+        if base:
+            integ = integ - bL[i][:, None]
+        out[start:stop] = np.sum(integ * g[None, :] * kern, axis=1)
     return out
 
 
@@ -269,39 +275,3 @@ def translation_covariance_check(b: TrigPoly, f: TrigPoly, params: BHTParams,
     lhs = bht_mu_fourier(translate(b, L * y), translate(f, L * y), params)
     rhs = translate(bht_mu_fourier(b, f, params), y)
     return coeff_distance(lhs, rhs)
-
-
-def real_line_bht(b, f, beta: float, x, support,
-                  nodes: int = 4096) -> np.ndarray:
-    """Midpoint quadrature of the real-line model operator
-
-        (H^beta b f)(x) = p.v. int [b(x + beta(s - x)) - b(x)] f(s)/(x - s) ds
-
-    for callables b, f, with f supported in `support` = (lo, hi).  The
-    bracket removes the singularity for Lipschitz b; nodes within h/2 of x
-    are dropped (h the node spacing), which converges for the principal
-    value by symmetry of the midpoint rule.
-
-    beta = 0 gives identically zero; b(u) = u gives -beta * int f.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lo, hi = float(support[0]), float(support[1])
-    if not hi > lo:
-        raise ParameterError("support must be a nondegenerate interval")
-    nodes = int(nodes)
-    if nodes <= 0:
-        raise ParameterError("nodes must be positive")
-    if beta == 0:
-        return np.zeros(x.shape, dtype=np.complex128)
-    h = (hi - lo) / nodes
-    s = lo + (np.arange(nodes) + 0.5) * h
-    fs = np.asarray(f(s), dtype=np.complex128)
-    out = np.empty(x.shape, dtype=np.complex128)
-    for i, xi in enumerate(x):
-        d = xi - s
-        keep = np.abs(d) > 0.5 * h
-        u = xi + beta * (s[keep] - xi)
-        vals = (np.asarray(b(u), dtype=np.complex128) - complex(b(xi))) \
-            * fs[keep] / d[keep]
-        out[i] = h * np.sum(vals)
-    return out

@@ -44,7 +44,6 @@ __all__ = [
     "TruncationSpec",
     "MatrixSection",
     "hankel_apply",
-    "multilinear_apply",
     "truncated_apply",
     "multilinear_truncated_apply",
     "column_truncation_apply",
@@ -119,14 +118,6 @@ class MatrixSection:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def to_csv(self, path):
-        """Row-major CSV export; entries formatted as python complex."""
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in np.asarray(self.entries):
-                writer.writerow([f"{z.real:.17g}{z.imag:+.17g}j" for z in row])
-
 
 def _ensure_symbol(b: TrigPoly) -> TrigPoly:
     if not b.is_analytic:
@@ -181,19 +172,6 @@ def hankel_apply(b: TrigPoly, f: TrigPoly, method: str = "direct") -> TrigPoly:
     conv = np.convolve(B, A[::-1])
     # conv[len(A)-1 + m] = sum_n B[m+n] A[n]
     return TrigPoly(conv[A.size - 1:], 0)
-
-
-def multilinear_apply(b: TrigPoly, fs) -> TrigPoly:
-    """H_b^{(n)}(f_1, ..., f_n) = H_b(f_1 ... f_n)."""
-    fs = list(fs)
-    if not fs:
-        raise ParameterError("multilinear_apply needs at least one input")
-    _ensure_symbol(b)
-    prod = None
-    for f in fs:
-        _ensure_analytic(f)
-        prod = f if prod is None else multiply(prod, f)
-    return hankel_apply(b, prod)
 
 
 def truncated_apply(b: TrigPoly, spec: TruncationSpec, f: TrigPoly) -> TrigPoly:

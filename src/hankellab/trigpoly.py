@@ -29,15 +29,12 @@ __all__ = [
     "TrigPoly",
     "Grid",
     "eval_grid",
-    "coeffs_from_grid",
     "multiply",
     "analytic_part",
     "flip",
-    "conjugate_op",
     "partial_sum",
     "analytic_partial_sum",
     "tail_projection",
-    "dirichlet_kernel",
     "translate",
     "stretch",
     "lp_window_weight",
@@ -45,7 +42,6 @@ __all__ = [
     "lp_decompose",
     "block_index",
     "top_block_index",
-    "inner",
     "coeff_distance",
     "random_poly",
 ]
@@ -304,29 +300,6 @@ def eval_grid(f: TrigPoly, grid: Grid) -> np.ndarray:
     return G * np.fft.ifft(buf)
 
 
-def coeffs_from_grid(values, min_freq: int, max_freq: int,
-                     staggered: bool = False) -> TrigPoly:
-    """Recover a polynomial with window [min_freq, max_freq] from grid values.
-
-    Exact for band-limited data when the grid has at least span+1 nodes.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    G = values.size
-    span = int(max_freq) - int(min_freq)
-    if span < 0:
-        raise ValueError("max_freq must be >= min_freq")
-    if G < span + 1:
-        raise GridSizeError(
-            f"need at least {span + 1} samples to recover window "
-            f"[{min_freq}, {max_freq}], got {G}")
-    hat = np.fft.fft(values) / G
-    n = np.arange(int(min_freq), int(max_freq) + 1)
-    c = hat[n % G]
-    if staggered:
-        c = c * np.exp(-1j * np.pi * n / G)
-    return TrigPoly(c, int(min_freq))
-
-
 # -- coefficient operations ------------------------------------------------
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
@@ -352,17 +325,6 @@ def flip(f: TrigPoly) -> TrigPoly:
     return TrigPoly(f.coeffs[::-1], -f.max_freq)
 
 
-def conjugate_op(f: TrigPoly) -> TrigPoly:
-    """Conjugate function: multiplier -i*sign(n), with sign(0) = 0.
-
-    Equals the principal-value average (1/2pi) p.v. int f(t) cot((x-t)/2) dt.
-    """
-    if f.is_zero:
-        return f
-    mult = -1j * np.sign(f.frequencies())
-    return TrigPoly(f.coeffs * mult, f.min_freq)
-
-
 def partial_sum(f: TrigPoly, N: int) -> TrigPoly:
     """S_N f: keep frequencies |n| <= N."""
     if N < 0:
@@ -383,13 +345,6 @@ def tail_projection(f: TrigPoly, N: int) -> TrigPoly:
         return TrigPoly.zero()
     lo = max(f.min_freq, int(N))
     return TrigPoly(f.window(lo, f.max_freq), lo)
-
-
-def dirichlet_kernel(N: int) -> TrigPoly:
-    """D_N(t) = sum_{|n| <= N} e^{int} = sin((N+1/2)t)/sin(t/2)."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    return TrigPoly(np.ones(2 * N + 1), -N)
 
 
 def translate(f: TrigPoly, y: float) -> TrigPoly:
@@ -501,17 +456,6 @@ def lp_decompose(f: TrigPoly):
 
 
 # -- misc helpers ------------------------------------------------------------
-
-def inner(f: TrigPoly, g: TrigPoly) -> complex:
-    """Normalized inner product (1/2pi) int f conj(g) = sum c_n conj(d_n)."""
-    if f.is_zero or g.is_zero:
-        return 0.0 + 0.0j
-    lo = max(f.min_freq, g.min_freq)
-    hi = min(f.max_freq, g.max_freq)
-    if lo > hi:
-        return 0.0 + 0.0j
-    return complex(np.dot(f.window(lo, hi), np.conj(g.window(lo, hi))))
-
 
 def coeff_distance(f: TrigPoly, g: TrigPoly) -> float:
     """max_n |f_n - g_n| over the union of the frequency windows."""

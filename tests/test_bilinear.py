@@ -1,14 +1,15 @@
-"""Bilinear Hilbert transforms: coefficient formulas, pv quadrature, the
-link to sign-multiplier truncations, and the real-line model."""
+"""Bilinear Hilbert transforms: coefficient formulas, pv quadrature, and the
+link to sign-multiplier truncations."""
 
 import numpy as np
 import pytest
 
 from hankellab.bilinear import (BHTParams, bht_fourier, bht_mu_fourier,
                                 link_identity_check, pv_quadrature,
-                                real_line_bht, translation_covariance_check)
+                                translation_covariance_check)
 from hankellab.errors import (GridSizeError, NonAnalyticError, ParameterError)
-from hankellab.trigpoly import Grid, TrigPoly, eval_grid, random_poly
+from hankellab.trigpoly import (Grid, TrigPoly, eval_grid, random_poly,
+                                stretch, translate)
 
 RNG = np.random.default_rng
 
@@ -106,12 +107,116 @@ def test_quadrature_fft_vs_direct():
     rng = RNG(103)
     b = random_poly(rng, 4)
     f = random_poly(rng, 4)
-    params = BHTParams(1, 2, -1)
-    for variant in ("plain_kl", "mu_form"):
+    for variant, params in (("plain_kl", BHTParams(1, 2, 0)),
+                            ("mu_form", BHTParams(1, 2, -1))):
         a = pv_quadrature(b, f, params, 128, variant=variant, method="fft")
         d = pv_quadrature(b, f, params, 128, variant=variant,
                           method="direct")
         assert np.max(np.abs(a - d)) <= 1e-11
+
+
+# -- the one-family code path, pinned bit for bit -------------------------------
+#
+# In-test copies of the earlier implementation, which kept the plain (k,l)
+# form and the mu form as separate branches.  The library evaluates both as
+# one family with (scale, mu, base); its values must not move by one bit.
+
+def _pairing_ref(r, s, amps):
+    r, s = r.ravel(), s.ravel()
+    vals = -1j * np.sign(s) * amps.ravel()
+    out = r + s
+    lo = int(out.min())
+    buf = np.zeros(int(out.max()) - lo + 1, dtype=np.complex128)
+    np.add.at(buf, out - lo, vals)
+    return TrigPoly(buf, lo)
+
+
+def _fourier_ref(b, f, params, variant):
+    k, l, mu, L = params.k, params.l, params.mu, params.L
+    p = b.frequencies()[:, None]
+    q = f.frequencies()[None, :]
+    amps = b.coeffs[:, None] * f.coeffs[None, :]
+    if variant == "plain_kl":
+        return _pairing_ref(k * p + 0 * q, l * p + q, amps)
+    zeros = np.zeros_like(p * q)
+    first = _pairing_ref(k * p + mu + zeros, l * p - mu + L * q, amps)
+    second = _pairing_ref(L * p + zeros, L * q + zeros, -amps)
+    return first + second
+
+
+def _quadrature_ref(b, f, params, G, variant, method):
+    k, l, mu, L = params.k, params.l, params.mu, params.L
+    nodes, grid = Grid(G, staggered=True), Grid(G)
+    x, t = grid.points(), nodes.points()
+    if variant == "plain_kl":
+        fvals = eval_grid(f, nodes)
+    else:
+        fvals = eval_grid(stretch(f, L), nodes)
+    if method == "fft":
+        d = np.arange(G, dtype=np.float64)
+        khat = np.fft.fft((1.0 / G) / np.tan(np.pi * (d - 0.5) / G))
+
+        def conv(h):
+            return np.fft.ifft(np.fft.fft(h) * khat)
+
+        out = np.zeros(G, dtype=np.complex128)
+        if variant == "plain_kl":
+            for p, bp in zip(b.frequencies(), b.coeffs):
+                out += bp * np.exp(1j * k * p * x) * \
+                    conv(np.exp(1j * l * p * t) * fvals)
+        else:
+            base = conv(fvals)
+            for p, bp in zip(b.frequencies(), b.coeffs):
+                out += bp * np.exp(1j * (k * p + mu) * x) * \
+                    conv(np.exp(1j * (l * p - mu) * t) * fvals)
+                out -= bp * np.exp(1j * L * p * x) * base
+        return out
+    out = np.zeros(G, dtype=np.complex128)
+    bvals = eval_grid(translate(b, np.pi * l / G), grid)
+    bL = eval_grid(stretch(b, L), grid)
+    chunk = max(1, (1 << 22) // G)
+    j = np.arange(G)
+    for start in range(0, G, chunk):
+        stop = min(G, start + chunk)
+        i = np.arange(start, stop)
+        kern = (1.0 / G) / np.tan(
+            np.pi * (i[:, None] - j[None, :] - 0.5) / G)
+        barg = bvals[(k * i[:, None] + l * j[None, :]) % G]
+        if variant == "plain_kl":
+            integ = barg * fvals[None, :]
+        else:
+            phase = np.exp(1j * mu * (x[i][:, None] - t[None, :]))
+            integ = (barg * phase - bL[i][:, None]) * fvals[None, :]
+        out[start:stop] = np.sum(integ * kern, axis=1)
+    return out
+
+
+# (k, l): l < 0, k + l < 0 (L = -1, -2) and mu at +-|l| all occur
+MERGE_KL = [(1, 1), (1, 2), (2, -1), (-2, 1), (3, -1), (1, -3), (-1, 3)]
+
+
+def test_one_family_matches_two_branch_reference_bitwise():
+    rng = RNG(108)
+    for (k, l) in MERGE_KL:
+        b = random_poly(rng, 4, min_freq=-4)
+        f_any = random_poly(rng, 3, min_freq=-3)
+        f_ana = random_poly(rng, 3)
+        cases = [("plain_kl", BHTParams(k, l, 0), f_any)]
+        cases += [("mu_form", BHTParams(k, l, mu), f_ana)
+                  for mu in sorted({-abs(l), 0, abs(l)})]
+        for variant, params, f in cases:
+            lib = (bht_fourier(b, f, k, l) if variant == "plain_kl"
+                   else bht_mu_fourier(b, f, params))
+            ref = _fourier_ref(b, f, params, variant)
+            assert lib.min_freq == ref.min_freq
+            assert np.array_equal(lib.coeffs, ref.coeffs)
+            for G in (64, 256):
+                for method in ("fft", "direct"):
+                    got = pv_quadrature(b, f, params, G, variant=variant,
+                                        method=method)
+                    want = _quadrature_ref(b, f, params, G, variant, method)
+                    assert np.array_equal(got, want), (variant, params, G,
+                                                       method)
 
 
 def test_quadrature_under_resolved_warns():
@@ -135,6 +240,15 @@ def test_quadrature_guards():
     with pytest.raises(NonAnalyticError):
         pv_quadrature(b, TrigPoly.character(-1), BHTParams(1, 1), 64,
                       variant="mu_form")
+
+
+def test_plain_form_rejects_modulation():
+    # the plain (k,l) form has no mu; a nonzero one is an error, not ignored
+    b = TrigPoly.character(1)
+    for method in ("fft", "direct"):
+        with pytest.raises(ParameterError):
+            pv_quadrature(b, b, BHTParams(1, 2, -1), 64, variant="plain_kl",
+                          method=method)
 
 
 # -- structural identities -------------------------------------------------------
@@ -169,7 +283,7 @@ def test_translation_covariance_random():
 def test_translation_by_plain_y_is_not_covariant():
     # translating the inputs by y (not Ly) must fail for L != 1
     rng = RNG(107)
-    from hankellab.trigpoly import coeff_distance, translate
+    from hankellab.trigpoly import coeff_distance
     b = random_poly(rng, 8)
     f = random_poly(rng, 6)
     params = BHTParams(1, 2)     # L = 3
@@ -177,41 +291,3 @@ def test_translation_by_plain_y_is_not_covariant():
     lhs = bht_mu_fourier(translate(b, y), translate(f, y), params)
     rhs = translate(bht_mu_fourier(b, f, params), y)
     assert coeff_distance(lhs, rhs) > 1e-3
-
-
-# -- real-line model -------------------------------------------------------------
-
-def test_real_line_beta_zero_is_zero():
-    out = real_line_bht(lambda u: np.sin(u), lambda s: s, 0.0,
-                        [0.3, 1.7], (0.0, 1.0))
-    assert np.all(out == 0)
-
-
-def test_real_line_linear_symbol_oracle():
-    # b(u) = u: [b(x + beta(s-x)) - b(x)]/(x - s) = -beta, so the transform
-    #           equals -beta * int f for any x (quadrature-exactly).
-    f = lambda s: s * (1.0 - s)
-    for beta in (0.5, -2.0, 3.0):
-        out = real_line_bht(lambda u: u, f, beta, [2.5, -1.0], (0.0, 1.0),
-                            nodes=4096)
-        assert np.max(np.abs(out - (-beta / 6.0))) <= 1e-6
-
-
-def test_real_line_linearity():
-    b = lambda u: np.cos(u)
-    f1 = lambda s: np.exp(-s) * (s > 0) * (s < 1)
-    f2 = lambda s: s ** 2 * (s > 0) * (s < 1)
-    x = [1.3, -0.4]
-    a1 = real_line_bht(b, f1, 1.5, x, (0.0, 1.0))
-    a2 = real_line_bht(b, f2, 1.5, x, (0.0, 1.0))
-    mix = real_line_bht(b, lambda s: 2.0 * f1(s) - 3.0 * f2(s), 1.5, x,
-                        (0.0, 1.0))
-    assert np.max(np.abs(mix - (2.0 * a1 - 3.0 * a2))) <= 1e-10
-
-
-def test_real_line_guards():
-    with pytest.raises(ParameterError):
-        real_line_bht(lambda u: u, lambda s: s, 1.0, [0.0], (1.0, 1.0))
-    with pytest.raises(ParameterError):
-        real_line_bht(lambda u: u, lambda s: s, 1.0, [0.0], (0.0, 1.0),
-                      nodes=0)

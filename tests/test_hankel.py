@@ -10,10 +10,9 @@ from hankellab.hankel import (BOUNDARY_TOL, MatrixSection, TruncationSpec,
                               beta_minus_one_identity_check,
                               beta_zero_identity_check,
                               column_truncation_apply, hankel_apply,
-                              matrix_section, multilinear_apply,
-                              multilinear_truncated_apply, section_weights,
-                              truncated_apply)
-from hankellab.spaces import random_symbol, reduction_index
+                              matrix_section, multilinear_truncated_apply,
+                              section_weights, truncated_apply)
+from hankellab.spaces import reduction_index
 from hankellab.trigpoly import (TrigPoly, analytic_partial_sum,
                                 coeff_distance, multiply, random_poly,
                                 tail_projection)
@@ -50,15 +49,6 @@ def test_hankel_apply_guards():
         hankel_apply(b, TrigPoly.character(-2))
     with pytest.raises(ParameterError):
         hankel_apply(b, b, method="nope")
-
-
-def test_multilinear_apply_is_hankel_of_product():
-    rng = np.random.default_rng(29)
-    b = random_poly(rng, 12)
-    fs = [random_poly(rng, 5), random_poly(rng, 4), random_poly(rng, 3)]
-    lhs = multilinear_apply(b, fs)
-    rhs = hankel_apply(b, multiply(multiply(fs[0], fs[1]), fs[2]))
-    assert coeff_distance(lhs, rhs) <= 1e-12
 
 
 # -- truncation specs and masks -----------------------------------------------
@@ -284,12 +274,3 @@ def test_matrix_section_guards():
         matrix_section(b, None, 5000, 2)
     with pytest.raises(SectionSizeError):
         matrix_section(b, None, 0, 2)
-
-
-def test_matrix_section_csv_round_trip(tmp_path):
-    b = random_symbol(0.5, 3, 8)
-    sec = matrix_section(b, None, 4, 4)
-    path = tmp_path / "section.csv"
-    sec.to_csv(path)
-    loaded = np.loadtxt(path, dtype=complex, delimiter=",")
-    np.testing.assert_allclose(loaded, sec.entries, atol=1e-15)

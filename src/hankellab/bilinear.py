@@ -27,6 +27,14 @@ fix (scale, mu, base):
 so the mu-form output spectrum lies in L*Z.  Both formulas are validated
 against pv_quadrature on staggered midpoint grids, which integrate the
 cotangent pairing exactly for every frequency |s| <= G/2.
+
+The quadrature takes outputs at x_i = 2pi i/G and nodes at
+t_j = 2pi (j + 1/2)/G, so in the DFT of length G two shift identities hold
+exactly: multiplying the nodes' samples by e^{iat_j} shifts their DFT by a
+and multiplies it by e^{i pi a/G}, and multiplying the output by e^{icx_i}
+shifts its DFT by c.  Each symbol frequency p is then one product of shifted
+kernel and input transforms, and a whole quadrature is two forward FFTs and
+one inverse.
 """
 
 from __future__ import annotations
@@ -153,9 +161,18 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     variant "plain_kl" integrates b(kx + lt) f(t) against the cot kernel
     (mu must be 0); variant "mu_form" integrates
     [b(kx+lt) e^{i mu (x-t)} - b((k+l)x)] f((k+l)t).
-    method "fft" uses one circular convolution per symbol frequency; method
-    "direct" forms the chunked O(G^2) double sum.  Both are rearrangements of
-    the same finite sums.
+
+    method "fft" sums the output's DFT.  With g_j = f(scale t_j),
+    ghat = fft(g), khat = fft of the kernel samples, a = lp - mu and
+    c = kp + mu (a + c = Lp), the shift identities give, indices mod G,
+
+        Y[u] = sum_p b_p e^{i pi a/G} khat[u - c] ghat[u - Lp]
+               - base sum_p b_p (khat ghat)[u - Lp],
+
+    and the result is ifft(Y): two forward FFTs and one inverse per call,
+    plus a few length-G multiply-adds per symbol frequency.  Method "direct"
+    forms the chunked O(G^2) double sum.  Both are rearrangements of the
+    same finite sums.
     """
     nodes = Grid(G, staggered=True)
     G = nodes.size
@@ -166,9 +183,6 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
         return np.zeros(G, dtype=np.complex128)
 
     k, l, L = params.k, params.l, params.L
-    grid = Grid(G)
-    x = grid.points()
-    t = nodes.points()
     g = eval_grid(stretch(f, scale), nodes)         # f(scale t_j)
     max_t_freq = abs(l) * b.degree + abs(mu) + abs(scale) * f.degree
     if 2 * max_t_freq > G:
@@ -177,24 +191,36 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
             f"{2 * max_t_freq} for these degrees; results are approximate",
             RuntimeWarning, stacklevel=2)
 
-    out = np.zeros(G, dtype=np.complex128)
     if method == "fft":
+        # the DFT sum Y of the docstring; each shift is a view into a
+        # doubled copy
         khat = np.fft.fft(_cot_kernel(G))
+        ghat = np.fft.fft(g)
+        kk, gg, kgkg = (np.concatenate([a, a])
+                        for a in (khat, ghat, khat * ghat))
 
-        def conv(h):
-            return np.fft.ifft(np.fft.fft(h) * khat)
+        def shifted(doubled, s):
+            # entry u is entry (u - s) mod G of the array that was doubled
+            s %= G
+            return doubled[G - s:2 * G - s]
 
-        if base:
-            base_conv = conv(g)
-        for p, bp in zip(b.frequencies(), b.coeffs):
-            out += bp * np.exp(1j * (k * p + mu) * x) * \
-                conv(np.exp(1j * (l * p - mu) * t) * g)
+        Y = np.zeros(G, dtype=np.complex128)
+        term = np.empty(G, dtype=np.complex128)
+        for p, bp in zip(b.frequencies().tolist(), b.coeffs):
+            np.multiply(shifted(kk, k * p + mu), shifted(gg, L * p), out=term)
+            term *= bp * np.exp(1j * np.pi * (l * p - mu) / G)
+            Y += term
             if base:
-                out -= bp * np.exp(1j * L * p * x) * base_conv
-        return out
+                np.multiply(shifted(kgkg, L * p), bp, out=term)
+                Y -= term
+        return np.fft.ifft(Y)
 
     # direct: chunked double sums over the kernel matrix
     # b(k x_i + l t_j) = bvals[(k i + l j) mod G] with a fixed offset l*pi/G
+    grid = Grid(G)
+    x = grid.points()
+    t = nodes.points()
+    out = np.zeros(G, dtype=np.complex128)
     bvals = eval_grid(translate(b, np.pi * l / G), grid)
     if base:
         bL = eval_grid(stretch(b, L), grid)

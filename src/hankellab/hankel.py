@@ -22,6 +22,8 @@ m <= floor(t + 1e-8) lie on the boundary.  The tolerance absorbs the rounding
 of t, below ~1e-11 at the index ranges the guards allow (|m|, |n| <= 4096,
 moderate beta and gamma), while a threshold of the rational beta = k/l sweeps
 that is not an integer stays at least 1/|l| away from one, many orders larger.
+The multilinear truncation takes these integer cutoffs once per call and
+weighs every output index with them.
 """
 
 from __future__ import annotations
@@ -89,11 +91,22 @@ class TruncationSpec:
         on the kept indices m <= floor(t + BOUNDARY_TOL), which lie on the
         boundary.
         """
-        keep = m >= np.ceil(t - BOUNDARY_TOL)
+        return self.cutoff_weights(m, self.cutoffs(t))
+
+    @staticmethod
+    def cutoffs(t):
+        """Integer cutoffs (ceil(t - BOUNDARY_TOL), floor(t + BOUNDARY_TOL))
+        of thresholds t, computed once to weigh many m."""
+        return np.ceil(t - BOUNDARY_TOL), np.floor(t + BOUNDARY_TOL)
+
+    def cutoff_weights(self, m, cuts) -> np.ndarray:
+        """weights(m, t) from cuts = cutoffs(t)."""
+        lo, hi = cuts
+        keep = m >= lo
         if self.boundary == "include":
             return keep
         w = keep.astype(np.float64)
-        w[keep & (m <= np.floor(t + BOUNDARY_TOL))] = 0.5
+        w[keep & (m <= hi)] = 0.5
         return w
 
 
@@ -219,9 +232,9 @@ def multilinear_truncated_apply(b: TrigPoly, spec: TruncationSpec,
         amp = amp * f.window(0, f.max_freq)[g]
     B = b.window(0, K + sum(degs))
     out = np.zeros(K + 1, dtype=np.complex128)
-    t = slope_dot + spec.gamma
+    cuts = spec.cutoffs(slope_dot + spec.gamma)
     for i0 in range(K + 1):
-        W = spec.weights(i0, t)
+        W = spec.cutoff_weights(i0, cuts)
         out[i0] = np.sum(W * amp * B[i0 + index_sum])
     return TrigPoly(out, 0)
 

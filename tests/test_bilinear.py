@@ -115,11 +115,22 @@ def test_quadrature_fft_vs_direct():
         assert np.max(np.abs(a - d)) <= 1e-11
 
 
-# -- the one-family code path, pinned bit for bit -------------------------------
+# -- the one-family code path, pinned to the two-branch reference ---------------
 #
 # In-test copies of the earlier implementation, which kept the plain (k,l)
-# form and the mu form as separate branches.  The library evaluates both as
-# one family with (scale, mu, base); its values must not move by one bit.
+# form and the mu form as separate branches and ran the "fft" quadrature as
+# one circular convolution per symbol frequency.  The library evaluates both
+# forms as one family with (scale, mu, base): its Fourier coefficients and
+# "direct" quadrature must not move by one bit.  Its "fft" quadrature sums
+# shifted DFTs instead, the same finite sum in another order, so it must
+# agree with the per-frequency loop to rounding.
+
+FFT_REL_TOL = 1e-12
+
+
+def _rel_sup_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
 
 def _pairing_ref(r, s, amps):
     r, s = r.ravel(), s.ravel()
@@ -211,12 +222,26 @@ def test_one_family_matches_two_branch_reference_bitwise():
             assert lib.min_freq == ref.min_freq
             assert np.array_equal(lib.coeffs, ref.coeffs)
             for G in (64, 256):
-                for method in ("fft", "direct"):
-                    got = pv_quadrature(b, f, params, G, variant=variant,
-                                        method=method)
-                    want = _quadrature_ref(b, f, params, G, variant, method)
-                    assert np.array_equal(got, want), (variant, params, G,
-                                                       method)
+                got = pv_quadrature(b, f, params, G, variant=variant,
+                                    method="direct")
+                want = _quadrature_ref(b, f, params, G, variant, "direct")
+                assert np.array_equal(got, want), (variant, params, G)
+                got = pv_quadrature(b, f, params, G, variant=variant)
+                want = _quadrature_ref(b, f, params, G, variant, "fft")
+                assert _rel_sup_diff(got, want) <= FFT_REL_TOL, (
+                    variant, params, G)
+
+    # an integrand frequency |s| >= G aliases, so the rule is no longer
+    # exact; both orders of summation still compute the same finite sum
+    b = random_poly(rng, 20, min_freq=-20)
+    f = random_poly(rng, 10, min_freq=-10)
+    params = BHTParams(1, 3, 0)         # |s| up to 3*20 + 10 = 70 > 64
+    with pytest.warns(RuntimeWarning):
+        got = pv_quadrature(b, f, params, 64, variant="plain_kl")
+    want = _quadrature_ref(b, f, params, 64, "plain_kl", "fft")
+    assert _rel_sup_diff(got, want) <= FFT_REL_TOL
+    ref = eval_grid(bht_fourier(b, f, 1, 3), Grid(512))[::8]
+    assert _rel_sup_diff(got, ref) > 1e-3       # genuinely under-resolved
 
 
 def test_quadrature_under_resolved_warns():

@@ -6,16 +6,15 @@ import pytest
 
 from hankellab.errors import (CostGuardError, NonAnalyticError,
                               ParameterError, SectionSizeError)
-from hankellab.hankel import (BOUNDARY_TOL, MatrixSection, TruncationSpec,
+from hankellab.hankel import (BOUNDARY_TOL, TruncationSpec,
                               beta_minus_one_identity_check,
                               beta_zero_identity_check,
                               column_truncation_apply, hankel_apply,
                               matrix_section, multilinear_truncated_apply,
                               section_weights, truncated_apply)
 from hankellab.spaces import reduction_index
-from hankellab.trigpoly import (TrigPoly, analytic_partial_sum,
-                                coeff_distance, multiply, random_poly,
-                                tail_projection)
+from hankellab.trigpoly import (TrigPoly, coeff_distance, multiply,
+                                random_poly, tail_projection)
 
 
 # -- plain application --------------------------------------------------------

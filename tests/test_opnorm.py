@@ -6,9 +6,8 @@ import pytest
 
 from hankellab.errors import ParameterError
 from hankellab.hankel import MatrixSection, TruncationSpec, matrix_section
-from hankellab.opnorm import (NormEstimate, lebesgue_constant,
-                              ratio_search_qp, section_norm_2_2,
-                              sn_extremal_lower_bound)
+from hankellab.opnorm import (lebesgue_constant, ratio_search_qp,
+                              section_norm_2_2, sn_extremal_lower_bound)
 from hankellab.spaces import hardy_norm, random_symbol
 from hankellab.trigpoly import TrigPoly, analytic_partial_sum
 

@@ -26,7 +26,7 @@ fix (scale, mu, base):
 
 so the mu-form output spectrum lies in L*Z.  Both formulas are validated
 against pv_quadrature on staggered midpoint grids, which integrate the
-cotangent pairing exactly for every frequency |s| <= G/2.
+cotangent pairing exactly for every frequency |s| < G.
 
 The quadrature takes outputs at x_i = 2pi i/G and nodes at
 t_j = 2pi (j + 1/2)/G, so in the DFT of length G two shift identities hold
@@ -156,7 +156,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
 
     Output values are taken at x_i = 2pi i/G while the integration nodes are
     staggered at t_j = 2pi (j + 1/2)/G, so the singularity is never sampled
-    and the rule is exact for integrand frequencies up to G/2.
+    and the rule is exact for every integrand frequency |s| < G: the DFT of
+    the kernel samples is -i sign(s) there.  It warns when the integrand
+    may reach frequency G.
 
     variant "plain_kl" integrates b(kx + lt) f(t) against the cot kernel
     (mu must be 0); variant "mu_form" integrates
@@ -185,10 +187,10 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     k, l, L = params.k, params.l, params.L
     g = eval_grid(stretch(f, scale), nodes)         # f(scale t_j)
     max_t_freq = abs(l) * b.degree + abs(mu) + abs(scale) * f.degree
-    if 2 * max_t_freq > G:
+    if max_t_freq >= G:
         warnings.warn(
-            f"quadrature grid G={G} is below the exactness threshold "
-            f"{2 * max_t_freq} for these degrees; results are approximate",
+            f"quadrature grid G={G} does not exceed the integrand frequency "
+            f"{max_t_freq} for these degrees; results are approximate",
             RuntimeWarning, stacklevel=2)
 
     if method == "fft":

@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--gamma", type=float, default=0.0)
     o.add_argument("--boundary", choices=["include", "half"],
                    default="include")
-    o.add_argument("--tol", type=float, default=1e-12)
+    o.add_argument("--tol", type=float, default=1e-12,
+                   help="stop once the relative error estimate is at most "
+                        "this")
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--witness", action="store_true",
                    help="include the maximizing vector in the output")

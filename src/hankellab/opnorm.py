@@ -1,7 +1,8 @@
 """Operator-norm estimation: finite sections, ratio search, model constants.
 
-section_norm_2_2 runs power iteration on A*A with a seeded start and a
-relative Rayleigh-quotient stopping rule; it is the workhorse for the
+section_norm_2_2 runs Golub-Kahan-Lanczos bidiagonalization with a seeded
+or warm start and stops on a Ritz-residual estimate of the relative error;
+its value is a certified lower bound.  It is the workhorse for the
 truncation-uniformity sweeps.  ratio_search_qp produces certified lower
 bounds for q -> p operator norms by sampling structured inputs and running
 a short coordinate ascent.  lebesgue_constant and sn_extremal_lower_bound
@@ -23,6 +24,13 @@ from .trigpoly import TrigPoly, analytic_partial_sum, multiply
 
 ASCENT_ROUNDS = 3
 LEBESGUE_NODES = 48
+# Golub-Kahan-Lanczos: Ritz extraction cadence, breakdown threshold relative
+# to the largest bidiagonal entry, the norm drop that triggers a second
+# Gram-Schmidt pass, and the initial row capacity of the bases
+RITZ_EVERY = 2
+BREAKDOWN_RTOL = 1e-13
+REORTH_DROP = 0.3
+BASIS_ROWS = 16
 
 __all__ = [
     "NormEstimate",
@@ -37,12 +45,14 @@ __all__ = [
 class NormEstimate:
     """An operator-norm estimate with its witness.
 
-    value      the estimate (a guaranteed lower bound for ratio_search)
-    method     "power_iteration" or "ratio_search"
-    iterations matvec sweeps or ratio evaluations spent
-    residual   final relative change of the estimate
-    witness    unit vector (power iteration) or TrigPoly (ratio search)
-    converged  whether the stopping rule fired before the iteration cap
+    value      a guaranteed lower bound: ||A x|| for the unit witness x
+               (golub_kahan), or the best evaluated ratio (ratio_search)
+    method     "golub_kahan" or "ratio_search"
+    iterations matvec/adjoint pairs or ratio evaluations spent
+    residual   estimated relative error of value (0 when the Krylov space
+               became invariant and the value is exact up to rounding)
+    witness    unit vector (golub_kahan) or TrigPoly (ratio search)
+    converged  whether the error estimate met tol before the iteration cap
     """
     value: float
     method: str
@@ -70,60 +80,130 @@ class NormEstimate:
         }
 
 
+def _start_vector(n, seed, v0):
+    """`v0` normalized when it has length n and a nonzero norm, else a
+    seeded complex Gaussian unit vector."""
+    if v0 is not None:
+        v = np.asarray(v0, dtype=np.complex128)
+        nv = np.linalg.norm(v)
+        if v.shape == (n,) and nv > 0:
+            return v / nv
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _orthogonalize(w, Q):
+    """(w', ||w'||): w minus its components along the orthonormal rows of
+    Q by classical Gram-Schmidt, with a second pass only when the first
+    removes more than REORTH_DROP of the norm (Daniel, Gragg, Kaufman &
+    Stewart 1976)."""
+    before = np.linalg.norm(w)
+    for _ in range(2):
+        w = w - np.conj(Q @ np.conj(w)) @ Q
+        after = float(np.linalg.norm(w))
+        if after > (1.0 - REORTH_DROP) * before:
+            break
+        before = after
+    return w, after
+
+
+def _store(basis, k, row):
+    """basis[k] = row, doubling the row capacity when it is full."""
+    if k == basis.shape[0]:
+        basis = np.concatenate([basis, np.empty_like(basis)])
+    basis[k] = row
+    return basis
+
+
 def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
                      seed=0, v0=None) -> NormEstimate:
-    """Largest singular value of a matrix section by power iteration on A*A.
+    """Largest singular value of a matrix section by Golub-Kahan-Lanczos
+    bidiagonalization with full reorthogonalization (Golub & Kahan 1965).
 
-    Stops when the relative change of the singular-value estimate falls
-    below `tol`.  `v0` warm-starts the iteration (useful in sweeps where
-    neighbouring sections share their top singular vector).  Non-convergence
-    after max_iter is reported through converged=False and a warning, with
-    the last residual recorded.
+    Step k costs one product with A and one with A* (applied as
+    conj(conj(u) @ A), reading A in place) and extends orthonormal bases
+    with A v_k = beta_{k-1} u_{k-1} + alpha_k u_k and
+    A* u_k = alpha_k v_k + beta_k v_{k+1}.  Every RITZ_EVERY steps the top
+    singular triplet (sigma, y, q) of the upper bidiagonal B (diagonal
+    alpha, superdiagonal beta) gives the Ritz vector x = sum q_j v_j with
+    residual r = beta_k |y_k|, and the loop stops once the relative error
+    estimate min(r / sigma, r^2 / (sigma * gap)) is at most `tol`, gap
+    being sigma minus the second Ritz value (Parlett, The Symmetric
+    Eigenvalue Problem).  A vanishing alpha or beta (below BREAKDOWN_RTOL
+    times the largest entry of B) or a full basis means the Krylov space
+    is invariant: the value is exact and the estimate 0.
 
-    Each sweep applies the adjoint as conj(conj(A v) @ A): A.conj().T @ u
-    would copy the whole matrix on every sweep, while this form reads A in
-    place and does the same real operations, so every entry comes out
-    equal (an exact zero may change its sign).
+    The value is ||A x|| for the unit Ritz vector x, computed with one more
+    product, so it is a lower bound up to rounding.  `v0` warm-starts the
+    iteration when it has the right length and a nonzero norm (sweeps whose
+    neighbouring sections share their top singular vector); otherwise the
+    start is a complex Gaussian vector seeded by `seed`.  Missing `tol`
+    after max_iter steps is reported through converged=False and a
+    warning, with the last estimate recorded.
     """
     A = section.entries if isinstance(section, MatrixSection) else \
         np.asarray(section, dtype=np.complex128)
     if A.ndim != 2:
         raise ParameterError("section must be a 2-D array")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be positive, got {max_iter}")
+    m, n = A.shape
     if A.size == 0:
-        return NormEstimate(0.0, "power_iteration", 0, 0.0,
-                            np.zeros(A.shape[1], dtype=np.complex128), True)
-    if v0 is not None:
-        v = np.asarray(v0, dtype=np.complex128).copy()
-        if v.shape != (A.shape[1],) or not np.linalg.norm(v) > 0:
-            v = None
-        else:
-            v /= np.linalg.norm(v)
-    else:
-        v = None
-    if v is None:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(A.shape[1]) \
-            + 1j * rng.standard_normal(A.shape[1])
-        v /= np.linalg.norm(v)
-    prev = 0.0
-    sigma = 0.0
-    rel = np.inf
-    for it in range(1, max_iter + 1):
-        w = np.conj(np.conj(A @ v) @ A)
-        # Rayleigh quotient of A*A at unit v equals ||A v||^2
-        sigma = float(np.sqrt(max(np.real(np.vdot(v, w)), 0.0)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return NormEstimate(0.0, "power_iteration", it, 0.0, v, True)
-        v = w / nw
-        rel = abs(sigma - prev) / max(sigma, 1e-300)
-        if rel <= tol:
-            return NormEstimate(sigma, "power_iteration", it, rel, v, True)
-        prev = sigma
-    warnings.warn(
-        f"power iteration did not meet tol={tol} after {max_iter} sweeps "
-        f"(last relative change {rel:.3e})", RuntimeWarning, stacklevel=2)
-    return NormEstimate(sigma, "power_iteration", max_iter, rel, v, False)
+        return NormEstimate(0.0, "golub_kahan", 0, 0.0,
+                            np.zeros(n, dtype=np.complex128), True)
+    V = np.empty((min(BASIS_ROWS, n), n), dtype=np.complex128)
+    U = np.empty((min(BASIS_ROWS, m), m), dtype=np.complex128)
+    V[0] = _start_vector(n, seed, v0)
+    alpha, beta = [], []
+    floor = 0.0
+    for k in range(max_iter):
+        # alpha_k u_k = A v_k - beta_{k-1} u_{k-1}, made orthogonal to u_<k
+        a = 0.0
+        if k < m:
+            w = A @ V[k]
+            if k:
+                w, a = _orthogonalize(w - beta[-1] * U[k - 1], U[:k])
+            else:
+                a = float(np.linalg.norm(w))
+        exact = a <= floor
+        alpha.append(0.0 if exact else a)
+        if not exact:
+            floor = max(floor, BREAKDOWN_RTOL * a)
+            U = _store(U, k, w / a)
+            # beta_k v_{k+1} = A* u_k - alpha_k v_k, made orthogonal to v_<=k
+            b = 0.0
+            if k + 1 < n:
+                w, b = _orthogonalize(np.conj(np.conj(U[k]) @ A) - a * V[k],
+                                      V[:k + 1])
+            exact = b <= floor
+            beta.append(b)
+            if not exact:
+                floor = max(floor, BREAKDOWN_RTOL * b)
+                V = _store(V, k + 1, w / b)
+        last = exact or k + 1 == max_iter
+        if not (last or (k + 1) % RITZ_EVERY == 0):
+            continue
+        B = np.diag(alpha) + np.diag(beta[:k], 1)
+        Y, s, Qh = np.linalg.svd(B)
+        rel = 0.0
+        if not exact:
+            sigma, r = float(s[0]), beta[k] * abs(float(Y[k, 0]))
+            rel = r / sigma
+            if k and sigma > s[1]:
+                rel = min(rel, r * r / (sigma * (sigma - float(s[1]))))
+        if last or rel <= tol:
+            break
+    x = Qh[0] @ V[:k + 1]
+    x /= np.linalg.norm(x)
+    value = float(np.linalg.norm(A @ x))
+    converged = rel <= tol
+    if not converged:
+        warnings.warn(
+            f"Golub-Kahan-Lanczos did not meet tol={tol} after {max_iter} "
+            f"steps (last error estimate {rel:.3e})", RuntimeWarning,
+            stacklevel=2)
+    return NormEstimate(value, "golub_kahan", k + 1, rel, x, converged)
 
 
 def _candidate_inputs(degree: int, samples: int, rng):

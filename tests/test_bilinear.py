@@ -1,6 +1,8 @@
 """Bilinear Hilbert transforms: coefficient formulas, pv quadrature, and the
 link to sign-multiplier truncations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,13 +247,32 @@ def test_one_family_matches_two_branch_reference_bitwise():
 
 
 def test_quadrature_under_resolved_warns():
-    # G = 64 can hold the stretched samples (span 40) but is below the
-    # exactness threshold 2 * (l*20 + L*10) = 80, so the result is flagged
+    # G = 64 can hold the stretched samples (span 20) but the integrand
+    # reaches t-frequency l*44 + L*10 = 64 >= G, so the result is flagged
+    rng = RNG(104)
+    b = random_poly(rng, 44)
+    f = random_poly(rng, 10)
+    params = BHTParams(1, 1)
+    with pytest.warns(RuntimeWarning):
+        vals = pv_quadrature(b, f, params, 64, variant="mu_form")
+    # the output spans 86 frequencies; evaluate it on a finer grid
+    ref = eval_grid(bht_mu_fourier(b, f, params), Grid(256))[::4]
+    assert np.max(np.abs(vals - ref)) > 1e-3 * np.abs(ref).max()
+
+
+def test_quadrature_is_exact_below_G_without_warning():
+    # integrand t-frequencies up to l*20 + L*10 = 40, between G/2 and G:
+    # the staggered rule is exact there, so no warning and formula agreement
     rng = RNG(104)
     b = random_poly(rng, 20)
     f = random_poly(rng, 10)
-    with pytest.warns(RuntimeWarning):
-        pv_quadrature(b, f, BHTParams(1, 1), 64, variant="mu_form")
+    params = BHTParams(1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = pv_quadrature(b, f, params, 64, variant="mu_form")
+    # the output spans 38 frequencies; evaluate it on a finer grid
+    ref = eval_grid(bht_mu_fourier(b, f, params), Grid(128))[::2]
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 def test_quadrature_guards():

@@ -46,13 +46,14 @@ import numpy as np
 
 from .errors import NonAnalyticError, ParameterError
 from .hankel import TruncationSpec, hankel_apply, truncated_apply
-from .trigpoly import (Grid, TrigPoly, analytic_part, coeff_distance,
-                       eval_grid, stretch, translate)
+from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, analytic_part,
+                       coeff_distance, eval_grid, stretch, translate)
 
 __all__ = [
     "BHTParams",
     "bht_fourier",
     "bht_mu_fourier",
+    "bht_mu_family",
     "pv_quadrature",
     "link_identity_check",
     "translation_covariance_check",
@@ -85,20 +86,6 @@ class BHTParams:
         return self.k + self.l
 
 
-def _pairing(x_freqs, t_freqs, amps) -> TrigPoly:
-    """sum A e^{irx} (1/2pi) p.v. int e^{ist} cot((x-t)/2) dt
-       = sum (-i) sign(s) A e^{i(r+s)x}, accumulated coefficientwise."""
-    r = np.asarray(x_freqs, dtype=np.int64).ravel()
-    s = np.asarray(t_freqs, dtype=np.int64).ravel()
-    a = np.asarray(amps, dtype=np.complex128).ravel()
-    vals = -1j * np.sign(s) * a
-    out = r + s
-    lo, hi = int(out.min()), int(out.max())
-    buf = np.zeros(hi - lo + 1, dtype=np.complex128)
-    np.add.at(buf, out - lo, vals)
-    return TrigPoly(buf, lo)
-
-
 def _form(variant: str, f: TrigPoly, params: BHTParams):
     """(scale, mu, base) of the named form, after its admissibility checks:
     "plain_kl" is (1, 0, False) and needs mu = 0; "mu_form" is
@@ -115,32 +102,89 @@ def _form(variant: str, f: TrigPoly, params: BHTParams):
     raise ParameterError(f"unknown variant {variant!r}")
 
 
-def _bht_coeffs(b: TrigPoly, f: TrigPoly, params: BHTParams,
-                variant: str) -> TrigPoly:
-    """Coefficientwise transform of the named form: the x-frequencies
-    kp + mu pair with the t-frequencies lp - mu + scale*q over the
-    frequencies q of f itself; base subtracts the (Lp, scale*q) pairing."""
-    scale, mu, base = _form(variant, f, params)
-    if b.is_zero or f.is_zero:
-        return TrigPoly.zero()
-    k, l = params.k, params.l
-    p = b.frequencies()[:, None]
-    q = f.frequencies()[None, :]
-    amps = b.coeffs[:, None] * f.coeffs[None, :]
-    out = _pairing(k * p + mu + 0 * q, l * p - mu + scale * q, amps)
+def _bht_coeffs(bs, fs, k: int, l: int, mus, scale: int, base: bool):
+    """Coefficients of the transforms of the (scale, mu, base) family for
+    every pair (bs[i], fs[i]) and every mu in `mus`, as (rows, lo): rows[j, i]
+    holds the coefficients of the transform of pair i at mus[j] from
+    frequency lo on, untrimmed.
+
+    Each product b_p a_q pairs the x-frequency kp + mu with the t-frequency
+    lp - mu + scale*q, so it lands on the output frequency Lp + scale*q
+    whatever mu is; base subtracts the pairing of Lp with scale*q, which
+    does not involve mu.  The pairs are zero-padded to common (p, q) extents
+    and share one output window of width W, pair i owning the slots
+    i*W .. i*W + W - 1, so a single np.add.at per mu accumulates all of
+    them, each coefficient in the raveled (p, q) order of its own pair.
+    A padded product is an exact zero, and adding a zero to a slot that
+    starts at +0.0 never changes its bits.  The first and the base pairing
+    are each pruned at PRUNE_TOL before they are summed, as in
+    TrigPoly + TrigPoly, so every row is the one-pair result bit for bit.
+    """
+    n = len(bs)
+    width_b = max((b.coeffs.size for b in bs), default=0)
+    width_f = max((f.coeffs.size for f in fs), default=0)
+    if not (width_b and width_f):
+        return np.zeros((len(mus), n, 0), dtype=np.complex128), 0
+    B = np.zeros((n, width_b), dtype=np.complex128)
+    F = np.zeros((n, width_f), dtype=np.complex128)
+    for i, (b, f) in enumerate(zip(bs, fs)):
+        B[i, :b.coeffs.size] = b.coeffs
+        F[i, :f.coeffs.size] = f.coeffs
+    p = (np.array([b.min_freq for b in bs])[:, None]
+         + np.arange(width_b))[:, :, None]
+    sq = scale * (np.array([f.min_freq for f in fs])[:, None]
+                  + np.arange(width_f))[:, None, :]
+    amps = B[:, :, None] * F[:, None, :]
+    out = (k + l) * p + sq
+    lo = int(out.min())
+    W = int(out.max()) - lo + 1
+    slot = (out + (W * np.arange(n) - lo)[:, None, None]).ravel()
+    t = l * p + sq
+    rows = np.zeros((len(mus), n * W), dtype=np.complex128)
+    for j, mu in enumerate(mus):
+        np.add.at(rows[j], slot, (-1j * np.sign(t - mu) * amps).ravel())
     if base:
-        out = out + _pairing(params.L * p + 0 * q, scale * q + 0 * p, -amps)
-    return out
+        rows_base = np.zeros(n * W, dtype=np.complex128)
+        np.add.at(rows_base, slot, (-1j * np.sign(sq) * -amps).ravel())
+        for r in (rows, rows_base):
+            r[np.abs(r) <= PRUNE_TOL] = 0.0
+        rows += rows_base
+    return rows.reshape(len(mus), n, W), lo
 
 
 def bht_fourier(b: TrigPoly, f: TrigPoly, k: int, l: int) -> TrigPoly:
     """Coefficientwise H_{k,l}(b, f); b and f arbitrary trig polynomials."""
-    return _bht_coeffs(b, f, BHTParams(k, l, 0), "plain_kl")
+    params = BHTParams(k, l, 0)
+    scale, mu, base = _form("plain_kl", f, params)
+    rows, lo = _bht_coeffs([b], [f], params.k, params.l, [mu], scale, base)
+    return TrigPoly(rows[0, 0], lo)
 
 
 def bht_mu_fourier(b: TrigPoly, f: TrigPoly, params: BHTParams) -> TrigPoly:
     """Coefficientwise H_{k,l,mu}(b, f); f must be analytic."""
-    return _bht_coeffs(b, f, params, "mu_form")
+    scale, mu, base = _form("mu_form", f, params)
+    rows, lo = _bht_coeffs([b], [f], params.k, params.l, [mu], scale, base)
+    return TrigPoly(rows[0, 0], lo)
+
+
+def bht_mu_family(bs, fs, k: int, l: int):
+    """H_{k,l,mu}(bs[i], fs[i]) for every pair i and every mu in -|l|..|l|,
+    by one accumulation per mu over all pairs; every fs[i] must be
+    analytic.
+
+    Returns (rows, lo): rows has shape (2|l| + 1, len(bs), W) and
+    TrigPoly(rows[mu + |l|, i], lo) equals bht_mu_fourier(bs[i], fs[i],
+    BHTParams(k, l, mu)) bit for bit.
+    """
+    if len(bs) != len(fs):
+        raise ParameterError(
+            f"need one input per symbol, got {len(bs)} and {len(fs)}")
+    params = BHTParams(k, l, 0)
+    for f in fs:
+        _form("mu_form", f, params)
+    m = abs(params.l)
+    return _bht_coeffs(bs, fs, params.k, params.l, range(-m, m + 1),
+                       params.L, True)
 
 
 def _cot_kernel(G: int) -> np.ndarray:
@@ -270,12 +314,10 @@ def link_identity_check(b: TrigPoly, f: TrigPoly, k: int, l: int,
         return 0.0
 
     # Side A: b contributes e^{ipk x} e^{ipl t}; the modulation contributes
-    # e^{i gamma_l x} e^{-i gamma_l t}; f((k+l)(-t)) contributes e^{-i n L t}.
-    p = b.frequencies()[:, None]
-    n = f.frequencies()[None, :]
-    amps = b.coeffs[:, None] * f.coeffs[None, :]
-    side_a = analytic_part(_pairing(k * p + gamma_l + 0 * n,
-                                    l * p - gamma_l - L * n, amps))
+    # e^{i gamma_l x} e^{-i gamma_l t}; f((k+l)(-t)) contributes e^{-i n L t}:
+    # the family with (scale, mu, base) = (-L, gamma_l, off).
+    rows, lo = _bht_coeffs([b], [f], k, l, [gamma_l], -L, False)
+    side_a = analytic_part(TrigPoly(rows[0, 0], lo))
 
     spec = TruncationSpec((k / l,), gamma_l / l, boundary="half")
     half = truncated_apply(b, spec, f)

@@ -22,8 +22,8 @@ import numpy as np
 import yaml
 
 from . import reporting
-from .bilinear import (BHTParams, bht_fourier, bht_mu_fourier,
-                       link_identity_check, pv_quadrature,
+from .bilinear import (BHTParams, bht_fourier, bht_mu_family,
+                       bht_mu_fourier, link_identity_check, pv_quadrature,
                        translation_covariance_check)
 from .errors import ParameterError
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
@@ -34,8 +34,8 @@ from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
 from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratios,
                      random_symbol)
-from .trigpoly import (Grid, coeff_distance, eval_grid, flip, multiply,
-                       random_poly, tail_projection)
+from .trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid, flip,
+                       multiply, random_poly, tail_projection)
 
 __all__ = [
     "Experiment",
@@ -553,6 +553,10 @@ def log_growth_charts(base, rows):
 # constant_stability
 # ---------------------------------------------------------------------------
 
+# pairs per bht_mu_family call: bounds the padded (pair, p, q) arrays
+_FAMILY_BLOCK = 64
+
+
 def _validate_constant_stability(p):
     for pairs in p["bands"].values():
         for k, l in pairs:
@@ -582,16 +586,24 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
 
     rows = []
     for band, k, l in cases:
-        for mu in range(-abs(l), abs(l) + 1):
-            params = BHTParams(k, l, mu)
-            for s, (b, f, lip_b, hardy_f) in enumerate(corpus):
-                g = bht_mu_fourier(b, f, params)
-                if not g.is_analytic:
-                    # k + l < 0 sends the output to non-positive
-                    # frequencies; |g| on the circle is flip-invariant.
-                    g = flip(g)
-                num = hardy_norm(g, pp).value if not g.is_zero else 0.0
-                rows.append((band, k, l, mu, s, num / (lip_b * hardy_f)))
+        mus = range(-abs(l), abs(l) + 1)
+        ratios = [[] for _ in mus]
+        for start in range(0, len(corpus), _FAMILY_BLOCK):
+            block = corpus[start:start + _FAMILY_BLOCK]
+            coeffs, lo = bht_mu_family([c[0] for c in block],
+                                       [c[1] for c in block], k, l)
+            for j in range(len(mus)):
+                for i, (_b, _f, lip_b, hardy_f) in enumerate(block):
+                    g = TrigPoly(coeffs[j, i], lo)
+                    if not g.is_analytic:
+                        # k + l < 0 sends the output to non-positive
+                        # frequencies; |g| on the circle is flip-invariant.
+                        g = flip(g)
+                    num = hardy_norm(g, pp).value if not g.is_zero else 0.0
+                    ratios[j].append(num / (lip_b * hardy_f))
+        for j, mu in enumerate(mus):
+            for s, ratio in enumerate(ratios[j]):
+                rows.append((band, k, l, mu, s, ratio))
     return rows
 
 

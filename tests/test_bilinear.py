@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hankellab.bilinear import (BHTParams, bht_fourier, bht_mu_fourier,
-                                link_identity_check, pv_quadrature,
-                                translation_covariance_check)
+from hankellab.bilinear import (BHTParams, bht_fourier, bht_mu_family,
+                                bht_mu_fourier, link_identity_check,
+                                pv_quadrature, translation_covariance_check)
 from hankellab.errors import (GridSizeError, NonAnalyticError, ParameterError)
 from hankellab.trigpoly import (Grid, TrigPoly, eval_grid, random_poly,
                                 stretch, translate)
@@ -244,6 +244,49 @@ def test_one_family_matches_two_branch_reference_bitwise():
     assert _rel_sup_diff(got, want) <= FFT_REL_TOL
     ref = eval_grid(bht_fourier(b, f, 1, 3), Grid(512))[::8]
     assert _rel_sup_diff(got, ref) > 1e-3       # genuinely under-resolved
+
+
+def test_family_matches_reference_and_lone_calls_bitwise():
+    # one block with different windows, a zero b and a zero f; MERGE_KL
+    # has l < 0 and k + l < 0
+    rng = RNG(109)
+    # pair 1 at (k, l, mu) = (-1, 3, 2): at frequency 2 the first pairing
+    # is -1j * b_1 a_0 = -1e-15j, pruned to zero before the base pairing
+    # 1j * b_0 a_1 = 1j is added
+    bs = [random_poly(rng, 6, min_freq=-3), TrigPoly([1.0, 1e-7], 0),
+          TrigPoly.zero(), random_poly(rng, 9, min_freq=4),
+          random_poly(rng, 3, min_freq=-7)]
+    fs = [random_poly(rng, 4), TrigPoly([1e-8, 1.0], 0),
+          random_poly(rng, 3), random_poly(rng, 2), TrigPoly.zero()]
+    for (k, l) in MERGE_KL:
+        rows, lo = bht_mu_family(bs, fs, k, l)
+        mus = range(-abs(l), abs(l) + 1)
+        assert rows.shape[:2] == (len(mus), len(bs))
+        for j, mu in enumerate(mus):
+            params = BHTParams(k, l, mu)
+            for i, (b, f) in enumerate(zip(bs, fs)):
+                got = TrigPoly(rows[j, i], lo)
+                wants = [bht_mu_fourier(b, f, params)]
+                if b.is_zero or f.is_zero:
+                    assert got.is_zero
+                else:
+                    wants.append(_fourier_ref(b, f, params, "mu_form"))
+                for want in wants:
+                    assert got.min_freq == want.min_freq, (k, l, mu, i)
+                    assert np.array_equal(got.coeffs, want.coeffs), (
+                        k, l, mu, i)
+
+
+def test_family_guards():
+    b, f = TrigPoly([1.0, 2.0], 0), TrigPoly([1.0], -1)
+    with pytest.raises(NonAnalyticError):
+        bht_mu_family([b], [f], 1, 2)
+    with pytest.raises(ParameterError):
+        bht_mu_family([b], [b, b], 1, 2)
+    with pytest.raises(ParameterError):
+        bht_mu_family([b], [b], 2, -2)
+    rows, lo = bht_mu_family([], [], 1, 2)
+    assert rows.shape == (5, 0, 0) and lo == 0
 
 
 def test_quadrature_under_resolved_warns():

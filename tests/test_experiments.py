@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 import yaml
 
+from hankellab.bilinear import BHTParams, bht_mu_fourier
 from hankellab.cli import main
 from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, run_experiment)
 from hankellab.serialize import load_poly
-from hankellab.spaces import lipschitz_norm, random_symbol, reduce_symbol
-from hankellab.trigpoly import TrigPoly, multiply
+from hankellab.spaces import (hardy_norm, lipschitz_norm, random_symbol,
+                              reduce_symbol)
+from hankellab.trigpoly import TrigPoly, flip, multiply, random_poly
 
 TINY = {
     "identity_suite": {
@@ -170,6 +172,39 @@ def test_constant_stability_tiny_structure():
     assert all(row[-1] > 0 for row in rep.rows)
     assert set(rep.summary["per_kl"]) == {"A:k=1,l=1", "B:k=-1,l=2",
                                           "C:k=-2,l=1"}
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_constant_stability_rows_match_per_call_loop(p, monkeypatch):
+    # reference: one bht_mu_fourier call per (k, l, mu, seed); p = 1 takes
+    # the grid path of hardy_norm, and blocks of two pairs split the corpus
+    monkeypatch.setattr("hankellab.experiments._FAMILY_BLOCK", 2)
+    params = dict(TINY["constant_stability"], seeds=5, p=p,
+                  exploratory=[[-9, 8]])
+    cfg = ExperimentConfig("constant_stability", seed=2026, params=params)
+    rows = run_experiment(cfg).rows
+    d = dict(EXPERIMENTS["constant_stability"].defaults, **params)
+    corpus = []
+    for s in range(d["seeds"]):
+        b = random_symbol(d["alpha"], d["symbol_max_block"],
+                          [cfg.seed, 61, s])
+        f = random_poly(np.random.default_rng([cfg.seed, 67, s]),
+                        d["f_degree"])
+        corpus.append((b, f, lipschitz_norm(b, d["alpha"]).value,
+                       hardy_norm(f, d["q"]).value))
+    cases = [(band, k, l) for band, pairs in sorted(d["bands"].items())
+             for k, l in pairs]
+    cases += [("exploratory", k, l) for k, l in d["exploratory"]]
+    ref = []
+    for band, k, l in cases:
+        for mu in range(-abs(l), abs(l) + 1):
+            for s, (b, f, lip_b, hardy_f) in enumerate(corpus):
+                g = bht_mu_fourier(b, f, BHTParams(k, l, mu))
+                if not g.is_analytic:
+                    g = flip(g)
+                num = hardy_norm(g, p).value if not g.is_zero else 0.0
+                ref.append((band, k, l, mu, s, num / (lip_b * hardy_f)))
+    assert [repr(r) for r in rows] == [repr(r) for r in ref]
 
 
 def test_lemma_tiny_ratios():

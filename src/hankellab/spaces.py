@@ -72,13 +72,33 @@ def _start_grid(degree: int) -> int:
     return min(G, GRID_CAP)
 
 
-def _refine(measure, G: int):
-    """(value, grid_size, converged): doubles G until two successive values
-    of measure(G) agree to REFINE_REL_TOL, or G reaches GRID_CAP."""
-    prev = measure(G)
+def _refine(f: TrigPoly, p: float):
+    """(value, grid_size, converged) of the grid maximum of |f| (p = inf) or
+    the grid mean ((1/G) sum |f(t_j)|^p)^{1/p}, doubling G from
+    _start_grid(f.span) until two successive values agree to REFINE_REL_TOL,
+    or G reaches GRID_CAP.
+
+    Grid(2G) is Grid(G) plus Grid(G, staggered=True), since
+    2pi(2j+1)/(2G) = 2pi(j+1/2)/G, so each doubling evaluates only the G new
+    staggered nodes and folds them into a running max of |f| or a running
+    sum of |f|^p: a call that stops at grid G evaluates G points in all.
+    """
+    sup = math.isinf(p)
+
+    def fold(acc, grid):
+        v = np.abs(eval_grid(f, grid))
+        return max(acc, float(v.max())) if sup else acc + float(np.sum(v ** p))
+
+    def value(acc, G):
+        return acc if sup else (acc / G) ** (1.0 / p)
+
+    G = _start_grid(f.span)
+    acc = fold(0.0, Grid(G))
+    prev = value(acc, G)
     while G < GRID_CAP:
+        acc = fold(acc, Grid(G, staggered=True))
         G *= 2
-        cur = measure(G)
+        cur = value(acc, G)
         if abs(cur - prev) <= REFINE_REL_TOL * max(cur, 1e-300):
             return cur, G, True
         prev = cur
@@ -89,8 +109,7 @@ def sup_norm(f: TrigPoly):
     """(value, grid_size, converged): refined-grid maximum of |f|."""
     if f.is_zero:
         return 0.0, 16, True
-    return _refine(lambda G: float(np.abs(eval_grid(f, Grid(G))).max()),
-                   _start_grid(f.span))
+    return _refine(f, math.inf)
 
 
 def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
@@ -110,15 +129,7 @@ def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
         return HardyNorm(2.0, float(np.linalg.norm(f.coeffs)), 0, True)
     if f.is_zero:
         return HardyNorm(p, 0.0, 16, True)
-    if math.isinf(p):
-        value, G, ok = sup_norm(f)
-        return HardyNorm(p, value, G, ok)
-
-    def mean_p(G):
-        v = np.abs(eval_grid(f, Grid(G)))
-        return float(np.mean(v ** p)) ** (1.0 / p)
-
-    value, G, ok = _refine(mean_p, _start_grid(f.span))
+    value, G, ok = _refine(f, p)
     return HardyNorm(p, value, G, ok)
 
 

@@ -297,7 +297,7 @@ def eval_grid(f: TrigPoly, grid: Grid) -> np.ndarray:
         c = c * np.exp(1j * np.pi * n / G)
     buf = np.zeros(G, dtype=np.complex128)
     np.add.at(buf, n % G, c)
-    return G * np.fft.ifft(buf)
+    return np.fft.ifft(buf, norm="forward")
 
 
 # -- coefficient operations ------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hankellab import spaces
 from hankellab.errors import (NonAnalyticError, ParameterError,
                               UndefinedRatioError)
 from hankellab.spaces import (hardy_norm, lipschitz_norm, lipschitz_norm_diff,
@@ -236,6 +237,64 @@ def test_sup_norm_refinement_converges():
     v, grid, converged = sup_norm(f)
     assert abs(v - 2.0) <= 1e-7
     assert converged and grid >= 16
+
+
+def full_grid_refine(f, measure):
+    """The refinement loop that evaluates every node of each doubled grid
+    afresh: the reference for the nested-grid loop in spaces._refine."""
+    G = spaces._start_grid(f.span)
+    prev = measure(G)
+    while G < spaces.GRID_CAP:
+        G *= 2
+        cur = measure(G)
+        if abs(cur - prev) <= spaces.REFINE_REL_TOL * max(cur, 1e-300):
+            return cur, G, True
+        prev = cur
+    return prev, G, False
+
+
+def test_nested_refinement_matches_full_grid_loop():
+    # the Littlewood-Paley blocks of the symbols of the sup_norm xfail below
+    # (and 20 more), and random analytic polynomials of degree below 60
+    blocks = [bj for s in range(60)
+              for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
+              if not bj.is_zero]
+    rng = np.random.default_rng(23)
+    polys = [random_poly(rng, int(rng.integers(0, 60))) for _ in range(200)]
+
+    def check(got, ref):
+        assert got[1:] == ref[1:]
+        assert abs(got[0] - ref[0]) <= 1e-14 * ref[0]
+
+    for f in blocks + polys:
+        check(sup_norm(f), full_grid_refine(
+            f, lambda G: float(np.abs(eval_grid(f, Grid(G))).max())))
+    for p in (2.0 / 3.0, 1.0, 3.0):
+        for f in polys:
+            h = hardy_norm(f, p)
+            check((h.value, h.grid_size, h.converged), full_grid_refine(
+                f, lambda G: float(np.mean(
+                    np.abs(eval_grid(f, Grid(G))) ** p)) ** (1.0 / p)))
+
+
+def test_refinement_evaluates_final_grid_size_points(monkeypatch):
+    points = []
+
+    def counting_eval_grid(f, grid):
+        points.append(grid.size)
+        return eval_grid(f, grid)
+
+    monkeypatch.setattr(spaces, "eval_grid", counting_eval_grid)
+    rng = np.random.default_rng(29)
+    polys = [random_poly(rng, d) for d in (0, 1, 7, 40, 300)]
+    polys += [bj for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, 3]))
+              if not bj.is_zero]
+    for f in polys:
+        points.clear()
+        assert sup_norm(f)[1] == sum(points)
+        for p in (2.0 / 3.0, 3.0, math.inf):
+            points.clear()
+            assert hardy_norm(f, p).grid_size == sum(points)
 
 
 SUP_ORACLE_GRID = 1 << 22

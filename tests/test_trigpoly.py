@@ -89,6 +89,26 @@ def test_eval_and_coeffs_round_trip():
             1.0, float(np.abs(f.coeffs).max()))
 
 
+def test_eval_grid_forward_norm_is_bitwise_the_scaled_inverse():
+    # ifft(norm="forward") skips ifft's 1/G and the caller's G; both are
+    # powers of two, so the values equal G * ifft(buf) bit for bit
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        deg = int(rng.integers(0, 300))
+        lo = int(rng.integers(-deg - 3, 1))
+        f = random_poly(rng, deg, min_freq=lo)
+        G = 1 << int(rng.integers((2 * f.span).bit_length(), 13))
+        for staggered in (False, True):
+            n = f.frequencies()
+            c = f.coeffs
+            if staggered:
+                c = c * np.exp(1j * np.pi * n / G)
+            buf = np.zeros(G, dtype=np.complex128)
+            np.add.at(buf, n % G, c)
+            assert np.array_equal(eval_grid(f, Grid(G, staggered)),
+                                  G * np.fft.ifft(buf))
+
+
 def test_eval_grid_too_small_raises():
     f = random_poly(np.random.default_rng(0), 40)
     with pytest.raises(GridSizeError):

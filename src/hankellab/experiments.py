@@ -330,6 +330,17 @@ def _validate_truncation_uniformity(p):
         raise ParameterError("beta grid must be nonempty")
 
 
+def _masked_ratio(H, spec, full, tol, v0):
+    """(||W * H|| / full.value, next warm start) for the weights W of the
+    linear `spec` on H's grid: W * H starts from `v0`, and its witness is
+    the next start only when its norm is positive."""
+    W = section_weights(spec, *H.shape)
+    if W.all():
+        return 1.0, v0      # identical matrices; nothing to iterate
+    est = section_norm_2_2(W * H, tol=tol, v0=v0)
+    return est.value / full.value, est.witness if est.value > 0 else v0
+
+
 def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     p = config.params
     S = int(p["section_size"])
@@ -342,29 +353,18 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
 
     def per_seed(s):
         b = random_symbol(alpha, int(p["max_block"]), [config.seed, 31, s])
-        H = matrix_section(b, None, S, S).entries
+        H = matrix_section(b, None, S, S)
         full = section_norm_2_2(H, tol=norm_tol, seed=[config.seed, 37, s])
         out = []
         for beta in betas:
             v = full.witness
             for gamma in gammas:
-                W = section_weights(TruncationSpec((beta,), gamma), S, S)
-                if W.all():
-                    # identical matrices; nothing to iterate
-                    out.append(("ratio", beta, gamma, s, 1.0))
-                    continue
-                est = section_norm_2_2(W * H, tol=sweep_tol, v0=v)
-                if est.witness is not None and est.value > 0:
-                    v = est.witness
-                out.append(("ratio", beta, gamma, s,
-                            est.value / full.value))
+                ratio, v = _masked_ratio(H, TruncationSpec((beta,), gamma),
+                                         full, sweep_tol, v)
+                out.append(("ratio", beta, gamma, s, ratio))
         for gamma in [int(g) for g in p["beta_zero_gammas"]]:
-            W = section_weights(TruncationSpec((0.0,), gamma), S, S)
-            if W.all():
-                ratio = 1.0     # identical matrices; nothing to iterate
-            else:
-                est = section_norm_2_2(W * H, tol=norm_tol, v0=full.witness)
-                ratio = est.value / full.value
+            ratio, _ = _masked_ratio(H, TruncationSpec((0.0,), gamma), full,
+                                     norm_tol, full.witness)
             out.append(("beta_zero", 0.0, gamma, s, ratio))
         return out
 
@@ -473,19 +473,12 @@ def log_growth_rows(config: ExperimentConfig) -> list:
     b = random_symbol(float(p["section_symbol_alpha"]),
                       int(p["section_symbol_max_block"]),
                       [config.seed, 47])
-    H = matrix_section(b, None, S, S).entries
+    H = matrix_section(b, None, S, S)
     full = section_norm_2_2(H, tol=1e-9, seed=[config.seed, 53])
     v = full.witness
     for N in range(0, S + 1, int(p["section_N_step"])):
-        W = section_weights(TruncationSpec((-1.0,), N), S, S)
-        if W.all():
-            # identical matrices; nothing to iterate
-            rows.append(("pi_minus1", N, 1.0, 0.0))
-            continue
-        est = section_norm_2_2(W * H, tol=1e-9, v0=v)
-        if est.witness is not None and est.value > 0:
-            v = est.witness
-        rows.append(("pi_minus1", N, est.value / full.value, 0.0))
+        ratio, v = _masked_ratio(H, TruncationSpec((-1.0,), N), full, 1e-9, v)
+        rows.append(("pi_minus1", N, ratio, 0.0))
     return rows
 
 

@@ -44,7 +44,6 @@ MULTILINEAR_COST_GUARD = 10 ** 8
 
 __all__ = [
     "TruncationSpec",
-    "MatrixSection",
     "hankel_apply",
     "truncated_apply",
     "multilinear_truncated_apply",
@@ -108,28 +107,6 @@ class TruncationSpec:
         w = keep.astype(np.float64)
         w[keep & (m <= hi)] = 0.5
         return w
-
-
-@dataclass(frozen=True)
-class MatrixSection:
-    """A finite section (b_{m+n} masked) of a (truncated) Hankel operator."""
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError("section entries must be a 2-D array")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 def _ensure_symbol(b: TrigPoly) -> TrigPoly:
@@ -270,9 +247,10 @@ def beta_minus_one_identity_check(b: TrigPoly, N: int, f: TrigPoly) -> float:
 
 
 def matrix_section(b: TrigPoly, spec: TruncationSpec | None,
-                   rows: int, cols: int) -> MatrixSection:
-    """The rows x cols section (b_{m+n})_{0<=m<rows, 0<=n<cols}, masked by
-    the truncation weights when a spec is given."""
+                   rows: int, cols: int) -> np.ndarray:
+    """The read-only rows x cols complex array (b_{m+n})_{0<=m<rows,
+    0<=n<cols}, masked by the truncation weights of a linear spec when one
+    is given."""
     _ensure_symbol(b)
     rows, cols = int(rows), int(cols)
     if rows <= 0 or cols <= 0:
@@ -281,6 +259,6 @@ def matrix_section(b: TrigPoly, spec: TruncationSpec | None,
         raise SectionSizeError(
             f"section dimension {max(rows, cols)} exceeds the guard "
             f"{SECTION_GUARD}")
-    if spec is not None and spec.arity != 1:
-        raise ParameterError("matrix sections are linear (arity 1)")
-    return MatrixSection(_section(b, spec, rows, cols))
+    H = _section(b, spec, rows, cols)
+    H.setflags(write=False)
+    return H

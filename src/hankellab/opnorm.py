@@ -3,9 +3,9 @@
 section_norm_2_2 runs Golub-Kahan-Lanczos bidiagonalization with a seeded
 or warm start and stops on a Ritz-residual estimate of the relative error;
 its value is a certified lower bound.  It is the workhorse for the
-truncation-uniformity sweeps.  ratio_search_qp produces certified lower
-bounds for q -> p operator norms by sampling structured inputs and running
-a short coordinate ascent.  lebesgue_constant and sn_extremal_lower_bound
+truncation-uniformity sweeps.  ratio_search_qp produces lower bounds for
+q -> p operator norms by sampling structured inputs and running a short
+coordinate ascent.  lebesgue_constant and sn_extremal_lower_bound
 provide the two classical log N growth quantities.
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hankel import MatrixSection
 from .serialize import poly_to_triples
 from .spaces import hardy_norm, lipschitz_norm, sup_norm
 from .trigpoly import TrigPoly, analytic_partial_sum, multiply
@@ -45,8 +44,10 @@ __all__ = [
 class NormEstimate:
     """An operator-norm estimate with its witness.
 
-    value      a guaranteed lower bound: ||A x|| for the unit witness x
-               (golub_kahan), or the best evaluated ratio (ratio_search)
+    value      ||A x|| for the unit witness x (golub_kahan), a lower bound
+               up to rounding; or the best evaluated ratio (ratio_search), a
+               lower bound only up to the refinement error of its hardy_norm
+               values
     method     "golub_kahan" or "ratio_search"
     iterations matvec/adjoint pairs or ratio evaluations spent
     residual   estimated relative error of value (0 when the Krylov space
@@ -142,8 +143,7 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
     after max_iter steps is reported through converged=False and a
     warning, with the last estimate recorded.
     """
-    A = section.entries if isinstance(section, MatrixSection) else \
-        np.asarray(section, dtype=np.complex128)
+    A = np.asarray(section, dtype=np.complex128)
     if A.ndim != 2:
         raise ParameterError("section must be a 2-D array")
     if max_iter < 1:
@@ -241,7 +241,7 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
     samples, then improved by up to ASCENT_ROUNDS rounds of coordinate ascent
     on the best candidate.
 
-    The value is a guaranteed lower bound (every evaluated ratio is one).
+    The value is a lower bound up to the hardy_norm refinement error.
     A degenerate operator (all candidates annihilated) yields value 0 with
     converged=False.
     """

@@ -179,12 +179,11 @@ def lipschitz_norm_diff(b: TrigPoly, alpha: float) -> LipschitzNorm:
 def random_symbol(alpha: float, max_block: int, seed) -> TrigPoly:
     """Random analytic symbol b = sum_{j <= max_block} b_j.
 
-    Block j draws complex-Gaussian coefficients on the canonical block-j
-    frequency range, rescaled so that ||b_j||_inf = 2^{-j alpha}; block 0
-    is a unimodular constant.  The sum is then normalized by its own
-    Lipschitz norm, so lipschitz_norm(b, alpha) = 1 in [1/4, 4] exactly,
-    with each block still of size comparable to 2^{-j alpha}.
-    Deterministic for a fixed seed.
+    Block j draws complex-Gaussian coefficients on the sharp frequency
+    range [2^j, 2^{j+1}) ([1, 4) for j = 1), rescaled so that
+    ||b_j||_inf = 2^{-j alpha}; block 0 is a unimodular constant.  The sum
+    is then divided by its own Lipschitz norm, so lipschitz_norm(b, alpha)
+    is 1 up to rounding.  Deterministic for a fixed seed.
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -233,11 +232,10 @@ def reduce_symbol(b: TrigPoly, N: int) -> TrigPoly:
     """The modified symbol with the same high-frequency content as b.
 
     For N <= 16 returns b unchanged.  For N > 16, with N0 such that
-    2^{N0} <= N < 2^{N0+1}, drops the Littlewood-Paley blocks j < N0 - 2.
-    With sharp block windows this equals the tail projection onto
-    frequencies >= 2^{N0-2}, so every coefficient at frequency >= 2^{N0-2}
-    (in particular every one at frequency > N) is untouched, and the
-    operation is idempotent for fixed N.
+    2^{N0} <= N < 2^{N0+1}, returns the sharp tail projection of b onto
+    frequencies >= 2^{N0-2} (not b minus its overlapping Littlewood-Paley
+    blocks j < N0 - 2): every coefficient at frequency > N is untouched,
+    and the operation is idempotent for fixed N.
     """
     if not b.is_analytic:
         raise NonAnalyticError("reduce_symbol requires an analytic symbol")

@@ -6,14 +6,13 @@ is the boundary value of a polynomial on the unit disc.  Everything in this
 module is exact coefficient arithmetic plus FFT evaluation on uniform grids;
 no norms live here (see spaces.py).
 
-The Littlewood-Paley blocks used throughout the library are the sharp dyadic
-windows
-
-    block 0 = {0},   block 1 = [1, 4),   block j = [2^j, 2^{j+1})  (j >= 2),
-
-which partition the nonnegative frequencies exactly.  Each block j >= 1 is
-contained in [2^{j-1}, 2^{j+2}), and summing blocks j >= J recovers the sharp
-tail projection onto frequencies >= 2^J for any J >= 2.
+The Littlewood-Paley blocks (lp_window_weight) are overlapping linear
+ramps, not sharp dyadic blocks: block j >= 2 rises from 0 at 2^{j-1} to 1
+at 2^j and falls to 0 at 2^{j+1}.  The windows sum to exactly 1 at every
+n >= 0 and block j >= 1 lies inside [2^{j-1}, 2^{j+2}), but for
+f = sum_{n<32} e^{int} block 3 spans 5..15 with weight 0.25 at 5 and block
+4 spans 9..31, so the blocks j >= J do not sum to the sharp tail projection
+onto frequencies >= 2^J.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "lp_window_weight",
     "lp_block",
     "lp_decompose",
-    "block_index",
     "top_block_index",
     "coeff_distance",
     "random_poly",
@@ -414,20 +412,6 @@ def lp_block(f: TrigPoly, j: int) -> TrigPoly:
         return f
     w = lp_window_weight(j, f.frequencies())
     return TrigPoly(f.coeffs * w, f.min_freq)
-
-
-def block_index(n: int) -> int:
-    """The canonical block of frequency n: the j whose window puts the
-    largest weight on n (j = 0 for n = 0, j = 1 for 1 <= n < 4, else
-    floor(log2 n); ties at mid-ramp resolve downward)."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("frequency must be nonnegative")
-    if n == 0:
-        return 0
-    if n < 4:
-        return 1
-    return n.bit_length() - 1
 
 
 def top_block_index(n: int) -> int:

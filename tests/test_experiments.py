@@ -13,6 +13,7 @@ from hankellab.cli import main
 from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, run_experiment)
+from hankellab.hankel import TruncationSpec, matrix_section, section_weights
 from hankellab.serialize import load_poly
 from hankellab.spaces import (hardy_norm, lipschitz_norm, random_symbol,
                               reduce_symbol)
@@ -162,6 +163,41 @@ def test_log_growth_tiny_rows():
     assert pim and max(v for _, v in pim) <= 1.0 + 1e-9
     # Pi_{-1,0} keeps every entry: the ratio is 1 exactly, not iterated
     assert pim[0] == (0, 1.0)
+
+
+def _dense_ratio(H, spec):
+    """The oracle ||W * H|| / ||H|| by dense SVD."""
+    W = section_weights(spec, *H.shape)
+    return np.linalg.norm(W * H, 2) / np.linalg.norm(H, 2)
+
+
+def test_section_sweep_rows_match_dense_svd():
+    cfg = tiny_config("truncation_uniformity")
+    p = cfg.params
+    S = p["section_size"]
+    sections = [matrix_section(random_symbol(p["alpha"], p["max_block"],
+                                             [cfg.seed, 31, s]), None, S, S)
+                for s in range(p["seeds"])]
+    checked = 0
+    for kind, beta, gamma, s, value in run_experiment(cfg).rows:
+        if kind in ("ratio", "beta_zero"):
+            ref = _dense_ratio(sections[s], TruncationSpec((beta,), gamma))
+            assert abs(value - ref) <= 1e-6 * ref, (kind, beta, gamma, s)
+            checked += 1
+    assert checked == 2 * (2 * 9 + 3)     # seeds x (betas x gammas + 3)
+
+    cfg = tiny_config("log_growth")
+    p = cfg.params
+    S = p["section_size"]
+    H = matrix_section(random_symbol(p["section_symbol_alpha"],
+                                     p["section_symbol_max_block"],
+                                     [cfg.seed, 47]), None, S, S)
+    pim = [(N, v) for kind, N, v, _ in run_experiment(cfg).rows
+           if kind == "pi_minus1"]
+    assert [N for N, _ in pim] == [0, 16, 32]
+    for N, value in pim:
+        ref = _dense_ratio(H, TruncationSpec((-1.0,), N))
+        assert abs(value - ref) <= 1e-6 * ref, N
 
 
 def test_constant_stability_tiny_structure():

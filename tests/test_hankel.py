@@ -256,15 +256,16 @@ def test_matrix_section_entries():
     b = TrigPoly([1.0, 2.0, 3.0, 4.0], 0)
     sec = matrix_section(b, None, 3, 2)
     expect = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
-    np.testing.assert_allclose(sec.entries, expect)
-    assert sec.rows == 3 and sec.cols == 2
+    assert isinstance(sec, np.ndarray) and sec.dtype == np.complex128
+    assert not sec.flags.writeable
+    np.testing.assert_allclose(sec, expect)
 
 
 def test_matrix_section_truncated():
     b = TrigPoly([1.0, 1.0, 1.0, 1.0], 0)
     spec = TruncationSpec((1.0,), 0.0)      # keep m >= n
     sec = matrix_section(b, spec, 2, 2)
-    np.testing.assert_allclose(sec.entries, [[1.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_allclose(sec, [[1.0, 0.0], [1.0, 1.0]])
 
 
 def test_matrix_section_guards():
@@ -273,3 +274,5 @@ def test_matrix_section_guards():
         matrix_section(b, None, 5000, 2)
     with pytest.raises(SectionSizeError):
         matrix_section(b, None, 0, 2)
+    with pytest.raises(ParameterError):
+        matrix_section(b, TruncationSpec((1.0, 1.0), 0.0), 2, 2)

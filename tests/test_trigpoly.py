@@ -7,11 +7,11 @@ import pytest
 from hankellab.errors import (DegreeOverflowError, GridSizeError,
                               NonAnalyticError)
 from hankellab.trigpoly import (Grid, TrigPoly, analytic_part,
-                                analytic_partial_sum, block_index,
-                                coeff_distance, eval_grid, flip, lp_block,
-                                lp_decompose, lp_window_weight, multiply,
-                                partial_sum, random_poly, stretch,
-                                tail_projection, top_block_index, translate)
+                                analytic_partial_sum, coeff_distance,
+                                eval_grid, flip, lp_block, lp_decompose,
+                                lp_window_weight, multiply, partial_sum,
+                                random_poly, stretch, tail_projection,
+                                top_block_index, translate)
 
 
 # -- construction and canonical form ----------------------------------------
@@ -206,9 +206,6 @@ def test_window_examples_and_supports():
 
 
 def test_block_indices():
-    assert block_index(0) == 0
-    assert block_index(1) == 1 and block_index(3) == 1
-    assert block_index(4) == 2 and block_index(9) == 3
     assert top_block_index(4) == 2      # w_3(4) = 0: tent opens above 4
     assert top_block_index(5) == 3
     assert top_block_index(1) == 1

@@ -25,17 +25,17 @@ from . import reporting
 from .bilinear import (BHTParams, bht_fourier, bht_mu_family,
                        bht_mu_fourier, link_identity_check, pv_quadrature,
                        translation_covariance_check)
-from .errors import ParameterError
+from .errors import NonAnalyticError, ParameterError
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      multilinear_truncated_apply, truncated_apply,
                      column_truncation_apply, beta_zero_identity_check,
                      beta_minus_one_identity_check, section_weights)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
-from .spaces import (hardy_norm, lipschitz_norm, modulated_norm_ratios,
-                     random_symbol)
-from .trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid, flip,
-                       multiply, random_poly, tail_projection)
+from .spaces import (hardy_norms, lipschitz_norms, modulated_norm_ratios,
+                     random_symbol, random_symbols)
+from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, coeff_distance, eval_grid,
+                       flip, multiply, random_poly, tail_projection)
 
 __all__ = [
     "Experiment",
@@ -556,19 +556,50 @@ def _validate_constant_stability(p):
             BHTParams(k, l, 0)
 
 
+def _row_hardy_norms(coeffs, lo, p):
+    """hardy_norm(g, p).value of g = TrigPoly(row, lo) for every row of the
+    (mu, pair, W) array coeffs, as nested lists, with g flipped when it lies
+    at non-positive frequencies (k + l < 0 puts the output there; |g| on the
+    circle is flip-invariant).
+
+    At p = 2 no g is built: each row is pruned at PRUNE_TOL, trimmed to its
+    nonzero window, reversed where g is flipped, and reduced by the 1-D
+    np.linalg.norm that hardy_norm applies to g.coeffs.  The summation
+    order fixes the last bits, hence the reversal.
+    """
+    if p != 2:
+        gs = [[TrigPoly(row, lo) for row in rows] for rows in coeffs]
+        gs = [[g if g.is_analytic else flip(g) for g in rows] for rows in gs]
+        return [[h.value for h in hardy_norms(rows, p)] for rows in gs]
+    pruned = np.where(np.abs(coeffs) <= PRUNE_TOL, 0.0, coeffs)
+    nonzero = pruned != 0
+    firsts = nonzero.argmax(axis=-1).tolist()
+    lasts = (nonzero.shape[-1] - 1
+             - nonzero[..., ::-1].argmax(axis=-1)).tolist()
+    norms = [[0.0] * len(rows) for rows in firsts]
+    for j, i in zip(*np.nonzero(nonzero.any(axis=-1))):
+        first, last = firsts[j][i], lasts[j][i]
+        row = pruned[j, i, first:last + 1]
+        if lo + first < 0:
+            if lo + last > 0:
+                raise NonAnalyticError(
+                    "hardy_norm requires an analytic polynomial")
+            row = row[::-1].copy()
+        norms[j][i] = float(np.linalg.norm(row))
+    return norms
+
+
 def constant_stability_rows(config: ExperimentConfig) -> list:
     p = config.params
     alpha, q, pp = float(p["alpha"]), float(p["q"]), float(p["p"])
-    seeds = int(p["seeds"])
+    seeds = range(int(p["seeds"]))
 
-    corpus = []
-    for s in range(seeds):
-        b = random_symbol(alpha, int(p["symbol_max_block"]),
-                          [config.seed, 61, s])
-        rng = _rng(config.seed, 67, s)
-        f = random_poly(rng, int(p["f_degree"]))
-        corpus.append((b, f, lipschitz_norm(b, alpha).value,
-                       hardy_norm(f, q).value))
+    symbols = random_symbols(alpha, int(p["symbol_max_block"]),
+                             [[config.seed, 61, s] for s in seeds])
+    fs = [random_poly(_rng(config.seed, 67, s), int(p["f_degree"]))
+          for s in seeds]
+    corpus = [(b, f, lip.value, hardy.value) for b, f, lip, hardy in zip(
+        symbols, fs, lipschitz_norms(symbols, alpha), hardy_norms(fs, q))]
 
     cases = []
     for band, pairs in sorted(p["bands"].items()):
@@ -585,14 +616,9 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
             block = corpus[start:start + _FAMILY_BLOCK]
             coeffs, lo = bht_mu_family([c[0] for c in block],
                                        [c[1] for c in block], k, l)
+            nums = _row_hardy_norms(coeffs, lo, pp)
             for j in range(len(mus)):
-                for i, (_b, _f, lip_b, hardy_f) in enumerate(block):
-                    g = TrigPoly(coeffs[j, i], lo)
-                    if not g.is_analytic:
-                        # k + l < 0 sends the output to non-positive
-                        # frequencies; |g| on the circle is flip-invariant.
-                        g = flip(g)
-                    num = hardy_norm(g, pp).value if not g.is_zero else 0.0
+                for num, (_b, _f, lip_b, hardy_f) in zip(nums[j], block):
                     ratios[j].append(num / (lip_b * hardy_f))
         for j, mu in enumerate(mus):
             for s, ratio in enumerate(ratios[j]):
@@ -653,11 +679,9 @@ def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
 
     pairs = [(N, int(round(fac * N))) for N in n_grid for fac in factors]
     for alpha in alphas:
-        ratios = []
-        for s in range(seeds):
-            b = random_symbol(alpha, int(p["symbol_max_block"]),
-                              [config.seed, 71, s])
-            ratios.append(modulated_norm_ratios(b, alpha, pairs))
+        symbols = random_symbols(alpha, int(p["symbol_max_block"]),
+                                 [[config.seed, 71, s] for s in range(seeds)])
+        ratios = [modulated_norm_ratios(b, alpha, pairs) for b in symbols]
         for i, (N, M) in enumerate(pairs):
             for s in range(seeds):
                 rows.append((alpha, N, M, s, ratios[s][i]))

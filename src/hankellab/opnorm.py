@@ -54,6 +54,8 @@ class NormEstimate:
                became invariant and the value is exact up to rounding)
     witness    unit vector (golub_kahan) or TrigPoly (ratio search)
     converged  whether the error estimate met tol before the iteration cap
+               (golub_kahan), or whether every hardy_norm value the ratio
+               search divided converged (ratio_search)
     """
     value: float
     method: str
@@ -242,24 +244,28 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
     on the best candidate.
 
     The value is a lower bound up to the hardy_norm refinement error.
-    A degenerate operator (all candidates annihilated) yields value 0 with
-    converged=False.
+    converged is True only if every hardy_norm the search divided reported
+    converged.  A degenerate operator (all candidates annihilated) yields
+    value 0 with converged=False.
     """
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
     rng = np.random.default_rng(seed)
     evals = 0
+    converged = True
 
     def ratio(f):
-        nonlocal evals
-        den = hardy_norm(f, q).value
-        if den <= 1e-13:
+        nonlocal evals, converged
+        den = hardy_norm(f, q)
+        if den.value <= 1e-13:
             return 0.0
         g = op(f)
         evals += 1
         if g.is_zero:
             return 0.0
-        return hardy_norm(g, p).value / den
+        num = hardy_norm(g, p)
+        converged = converged and num.converged and den.converged
+        return num.value / den.value
 
     best_val = 0.0
     best_f = None
@@ -287,7 +293,8 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
         if not improved and step < 1e-6:
             break
     witness = TrigPoly(coeffs, 0)
-    return NormEstimate(best_val, "ratio_search", evals, 0.0, witness, True)
+    return NormEstimate(best_val, "ratio_search", evals, 0.0, witness,
+                        converged)
 
 
 def lebesgue_constant(N: int) -> float:

@@ -2,7 +2,9 @@
 
 Hardy quasi-norms ||f||_{H^p} (p > 0, p = inf allowed) are boundary L^p means
 on progressively refined grids, except at p = 2, where Parseval gives the
-norm in closed form as the l^2 norm of the coefficients.  The canonical
+norm in closed form as the l^2 norm of the coefficients.  The norms of many
+polynomials are refined as one stack: polynomials that share a start grid
+share one FFT per doubling.  The canonical
 Lipschitz norm Lambda_alpha is the Littlewood-Paley block norm
 sup_j 2^{j alpha} ||b_j||_inf, which works for every alpha > 0; the
 classical difference-quotient norm is implemented for 0 < alpha < 1 as an
@@ -28,9 +30,12 @@ __all__ = [
     "LipschitzNorm",
     "sup_norm",
     "hardy_norm",
+    "hardy_norms",
     "lipschitz_norm",
+    "lipschitz_norms",
     "lipschitz_norm_diff",
     "random_symbol",
+    "random_symbols",
     "reduction_index",
     "reduce_symbol",
     "modulated_norm_ratios",
@@ -63,53 +68,110 @@ class LipschitzNorm:
     certificates: tuple = field(default_factory=tuple)
 
 
-def _start_grid(degree: int) -> int:
-    """Initial refinement grid: 8*degree rounded up to a power of two."""
+def _start_grid(span: int) -> int:
+    """Initial refinement grid for a polynomial of frequency span `span`:
+    8*span rounded up to a power of two, at least 16, at most GRID_CAP."""
     G = 16
-    target = 8 * max(int(degree), 1)
+    target = 8 * max(int(span), 1)
     while G < target:
         G *= 2
     return min(G, GRID_CAP)
 
 
-def _refine(f: TrigPoly, p: float):
-    """(value, grid_size, converged) of the grid maximum of |f| (p = inf) or
-    the grid mean ((1/G) sum |f(t_j)|^p)^{1/p}, doubling G from
-    _start_grid(f.span) until two successive values agree to REFINE_REL_TOL,
-    or G reaches GRID_CAP.
+# rows x grid points per stacked transform: bounds the (rows, G) buffer
+_STACK_POINTS = 1 << 21
+
+
+def _transform(buf: np.ndarray) -> np.ndarray:
+    """Grid values of every row of buf (coefficients placed at n mod G):
+    the one FFT of each refinement step."""
+    return np.fft.ifft(buf, axis=-1, norm="forward")
+
+
+def _fold_grid(fs, G: int, staggered: bool, p: float) -> list:
+    """max |f| (p = inf) or sum |f|^p over Grid(G, staggered), for each f in
+    fs, transforming at most _STACK_POINTS points at a time."""
+    out = []
+    step = max(1, _STACK_POINTS // G)
+    for start in range(0, len(fs), step):
+        chunk = fs[start:start + step]
+        buf = np.zeros((len(chunk), G), dtype=np.complex128)
+        for r, f in enumerate(chunk):
+            n = f.frequencies()
+            c = f.coeffs
+            if staggered:
+                # eval_grid's 1-D expression row by row: the same phases to
+                # the last bit, which one 2-D product does not give
+                c = c * np.exp(1j * np.pi * n / G)
+            buf[r][n % G] += c
+        v = np.abs(_transform(buf))
+        folded = v.max(axis=-1) if math.isinf(p) else np.sum(v ** p, axis=-1)
+        out += folded.tolist()
+    return out
+
+
+def _refine_stack(fs, p: float) -> list:
+    """(value, grid_size, converged) for each f in fs: the grid maximum of
+    |f| (p = inf) or the grid mean ((1/G) sum |f(t_j)|^p)^{1/p}, doubling G
+    from _start_grid(f.span) until two successive values agree to
+    REFINE_REL_TOL, or G reaches GRID_CAP.  The zero polynomial gives
+    (0.0, 16, True).
 
     Grid(2G) is Grid(G) plus Grid(G, staggered=True), since
     2pi(2j+1)/(2G) = 2pi(j+1/2)/G, so each doubling evaluates only the G new
     staggered nodes and folds them into a running max of |f| or a running
-    sum of |f|^p: a call that stops at grid G evaluates G points in all.
+    sum of |f|^p: a polynomial that stops at grid G costs G points in all.
+    Polynomials with the same start grid double together, one stacked FFT
+    per doubling over those not yet converged; each value is bit for bit
+    the one the polynomial gets alone.
     """
     sup = math.isinf(p)
-
-    def fold(acc, grid):
-        v = np.abs(eval_grid(f, grid))
-        return max(acc, float(v.max())) if sup else acc + float(np.sum(v ** p))
 
     def value(acc, G):
         return acc if sup else (acc / G) ** (1.0 / p)
 
-    G = _start_grid(f.span)
-    acc = fold(0.0, Grid(G))
-    prev = value(acc, G)
-    while G < GRID_CAP:
-        acc = fold(acc, Grid(G, staggered=True))
-        G *= 2
-        cur = value(acc, G)
-        if abs(cur - prev) <= REFINE_REL_TOL * max(cur, 1e-300):
-            return cur, G, True
-        prev = cur
-    return prev, G, False
+    out = [(0.0, 16, True)] * len(fs)
+    groups = {}
+    for i, f in enumerate(fs):
+        if not f.is_zero:
+            groups.setdefault(_start_grid(f.span), []).append(i)
+    for G, live in groups.items():
+        acc = dict(zip(live, _fold_grid([fs[i] for i in live], G, False, p)))
+        prev = {i: value(acc[i], G) for i in live}
+        while live and G < GRID_CAP:
+            new = _fold_grid([fs[i] for i in live], G, True, p)
+            G *= 2
+            pending = []
+            for i, a in zip(live, new):
+                acc[i] = max(acc[i], a) if sup else acc[i] + a
+                cur = value(acc[i], G)
+                if abs(cur - prev[i]) <= REFINE_REL_TOL * max(cur, 1e-300):
+                    out[i] = (cur, G, True)
+                else:
+                    prev[i] = cur
+                    pending.append(i)
+            live = pending
+        for i in live:
+            out[i] = (prev[i], G, False)
+    return out
 
 
 def sup_norm(f: TrigPoly):
     """(value, grid_size, converged): refined-grid maximum of |f|."""
-    if f.is_zero:
-        return 0.0, 16, True
-    return _refine(f, math.inf)
+    return _refine_stack([f], math.inf)[0]
+
+
+def hardy_norms(fs, p: float) -> list:
+    """hardy_norm(f, p) for each f in fs, refined as one stack."""
+    if not all(f.is_analytic for f in fs):
+        raise NonAnalyticError("hardy_norm requires an analytic polynomial")
+    if not p > 0:
+        raise ParameterError(f"p must be positive, got {p}")
+    if p == 2:
+        return [HardyNorm(2.0, float(np.linalg.norm(f.coeffs)), 0, True)
+                for f in fs]
+    return [HardyNorm(p, value, G, ok)
+            for value, G, ok in _refine_stack(fs, p)]
 
 
 def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
@@ -121,34 +183,32 @@ def hardy_norm(f: TrigPoly, p: float) -> HardyNorm:
     refined (doubled) until the value is stable to 1e-8 relative, capped at
     2^20 nodes.
     """
-    if not f.is_analytic:
-        raise NonAnalyticError("hardy_norm requires an analytic polynomial")
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    if p == 2:
-        return HardyNorm(2.0, float(np.linalg.norm(f.coeffs)), 0, True)
-    if f.is_zero:
-        return HardyNorm(p, 0.0, 16, True)
-    value, G, ok = _refine(f, p)
-    return HardyNorm(p, value, G, ok)
+    return hardy_norms([f], p)[0]
+
+
+def lipschitz_norms(bs, alpha: float) -> list:
+    """lipschitz_norm(b, alpha) for each b in bs, with the sup norms of all
+    their Littlewood-Paley blocks refined as one stack."""
+    if not all(b.is_analytic for b in bs):
+        raise NonAnalyticError("lipschitz_norm requires an analytic symbol")
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    blocks = [[(j, bj) for j, bj in enumerate(lp_decompose(b))
+               if not bj.is_zero] for b in bs]
+    sups = iter(_refine_stack([bj for bl in blocks for _, bj in bl],
+                              math.inf))
+    norms = []
+    for bl in blocks:
+        certs = tuple((j, (2.0 ** (j * alpha)) * next(sups)[0])
+                      for j, _ in bl)
+        value = max(c for _, c in certs) if certs else 0.0
+        norms.append(LipschitzNorm(alpha, value, "lp_block", certs))
+    return norms
 
 
 def lipschitz_norm(b: TrigPoly, alpha: float) -> LipschitzNorm:
     """Canonical Lambda_alpha norm: sup_j 2^{j alpha} ||b_j||_inf."""
-    if not b.is_analytic:
-        raise NonAnalyticError("lipschitz_norm requires an analytic symbol")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if b.is_zero:
-        return LipschitzNorm(alpha, 0.0, "lp_block", ())
-    certs = []
-    for j, bj in enumerate(lp_decompose(b)):
-        if bj.is_zero:
-            continue
-        s, _, _ = sup_norm(bj)
-        certs.append((j, (2.0 ** (j * alpha)) * s))
-    value = max(c for _, c in certs) if certs else 0.0
-    return LipschitzNorm(alpha, value, "lp_block", tuple(certs))
+    return lipschitz_norms([b], alpha)[0]
 
 
 def lipschitz_norm_diff(b: TrigPoly, alpha: float) -> LipschitzNorm:
@@ -176,6 +236,34 @@ def lipschitz_norm_diff(b: TrigPoly, alpha: float) -> LipschitzNorm:
     return LipschitzNorm(alpha, value, "difference", tuple(certs))
 
 
+def random_symbols(alpha: float, max_block: int, seeds) -> list:
+    """random_symbol(alpha, max_block, seed) for each seed in seeds, with the
+    sup norms of block j of every symbol refined as one stack."""
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if max_block < 0:
+        raise ParameterError("max_block must be nonnegative")
+    consts, blocks = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        consts.append(TrigPoly.constant(np.exp(2j * np.pi * rng.random())))
+        for j in range(1, max_block + 1):
+            lo = 1 if j == 1 else 1 << j
+            hi = 4 if j == 1 else 1 << (j + 1)   # exclusive
+            c = (rng.standard_normal(hi - lo)
+                 + 1j * rng.standard_normal(hi - lo))
+            blocks.append(TrigPoly(c, lo))
+    sups = iter(_refine_stack(blocks, math.inf))
+    bj = iter(blocks)
+    totals = []
+    for total in consts:
+        for j in range(1, max_block + 1):
+            total = total + (2.0 ** (-j * alpha) / next(sups)[0]) * next(bj)
+        totals.append(total)
+    return [(1.0 / scale.value) * total
+            for scale, total in zip(lipschitz_norms(totals, alpha), totals)]
+
+
 def random_symbol(alpha: float, max_block: int, seed) -> TrigPoly:
     """Random analytic symbol b = sum_{j <= max_block} b_j.
 
@@ -185,21 +273,7 @@ def random_symbol(alpha: float, max_block: int, seed) -> TrigPoly:
     is then divided by its own Lipschitz norm, so lipschitz_norm(b, alpha)
     is 1 up to rounding.  Deterministic for a fixed seed.
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if max_block < 0:
-        raise ParameterError("max_block must be nonnegative")
-    rng = np.random.default_rng(seed)
-    total = TrigPoly.constant(np.exp(2j * np.pi * rng.random()))
-    for j in range(1, max_block + 1):
-        lo = 1 if j == 1 else 1 << j
-        hi = 4 if j == 1 else 1 << (j + 1)   # exclusive
-        c = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
-        bj = TrigPoly(c, lo)
-        s, _, _ = sup_norm(bj)
-        total = total + (2.0 ** (-j * alpha) / s) * bj
-    scale = lipschitz_norm(total, alpha).value
-    return (1.0 / scale) * total
+    return random_symbols(alpha, max_block, [seed])[0]
 
 
 def reduction_index(beta: float, gamma: float):
@@ -253,19 +327,21 @@ def modulated_norm_ratios(b: TrigPoly, alpha: float, pairs) -> list:
     lipschitz_norm(reduce_symbol(b,N) * zeta^M, alpha) divided by
     (|M|/(N+1) + 1)^alpha * lipschitz_norm(b, alpha).
 
-    The denominator norm lipschitz_norm(b, alpha) is computed once."""
-    den_norm = lipschitz_norm(b, alpha).value
-    if den_norm == 0.0:
-        raise UndefinedRatioError("zero symbol has no modulated norm ratio")
-    ratios = []
+    The denominator norm lipschitz_norm(b, alpha) is computed once, and all
+    the norms as one stack."""
+    shifted = []
     for N, M in pairs:
-        bt = reduce_symbol(b, N)
-        shifted = multiply(bt, TrigPoly.character(int(M)))
-        if not shifted.is_analytic:
+        bt = multiply(reduce_symbol(b, N), TrigPoly.character(int(M)))
+        if not bt.is_analytic:
             raise NonAnalyticError(
                 "modulation pushed the symbol outside the analytic range; "
                 "|M| must not exceed the reduced symbol's lowest frequency")
-        num = lipschitz_norm(shifted, alpha).value
+        shifted.append(bt)
+    den, *nums = lipschitz_norms([b] + shifted, alpha)
+    if den.value == 0.0:
+        raise UndefinedRatioError("zero symbol has no modulated norm ratio")
+    ratios = []
+    for num, (N, M) in zip(nums, pairs):
         scale = (abs(int(M)) / (int(N) + 1.0) + 1.0) ** alpha
-        ratios.append(num / (scale * den_norm))
+        ratios.append(num.value / (scale * den.value))
     return ratios

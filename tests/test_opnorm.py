@@ -193,6 +193,24 @@ def test_ratio_search_degenerate_operator():
     assert est.value == 0.0 and not est.converged
 
 
+def test_ratio_search_converged_only_if_every_hardy_norm_converged(
+        monkeypatch):
+    # H^{2/3} norms are refined on grids; with GRID_CAP at 64 no
+    # refinement of a degree-4 input can meet its tolerance
+    from hankellab.hankel import hankel_apply
+    b = random_symbol(1.0, 5, [2026, 41, 0])
+
+    def search():
+        return ratio_search_qp(lambda f: hankel_apply(b, f), 2.0 / 3.0, 2.0,
+                               degree=4, samples=8, seed=1)
+
+    assert search().converged
+    monkeypatch.setattr("hankellab.spaces.GRID_CAP", 64)
+    est = search()
+    assert est.value > 0.0 and est.converged is False
+    assert json.loads(json.dumps(est.to_json_dict()))["converged"] is False
+
+
 def test_ratio_search_guards():
     with pytest.raises(ParameterError):
         ratio_search_qp(lambda f: f, 2.0, 2.0, degree=-1)

@@ -9,8 +9,9 @@ from hankellab import spaces
 from hankellab.errors import (NonAnalyticError, ParameterError,
                               UndefinedRatioError)
 from hankellab.spaces import (hardy_norm, lipschitz_norm, lipschitz_norm_diff,
-                              modulated_norm_ratios, random_symbol,
-                              reduce_symbol, reduction_index, sup_norm)
+                              lipschitz_norms, modulated_norm_ratios,
+                              random_symbol, random_symbols, reduce_symbol,
+                              reduction_index, sup_norm)
 from hankellab.trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid,
                                 lp_decompose, random_poly, tail_projection)
 
@@ -241,7 +242,7 @@ def test_sup_norm_refinement_converges():
 
 def full_grid_refine(f, measure):
     """The refinement loop that evaluates every node of each doubled grid
-    afresh: the reference for the nested-grid loop in spaces._refine."""
+    afresh: the reference for the nested-grid loop of spaces._refine_stack."""
     G = spaces._start_grid(f.span)
     prev = measure(G)
     while G < spaces.GRID_CAP:
@@ -277,14 +278,102 @@ def test_nested_refinement_matches_full_grid_loop():
                     np.abs(eval_grid(f, Grid(G))) ** p)) ** (1.0 / p)))
 
 
+def one_row_refine(f, p):
+    """The one-row nested-grid loop that the stacked refinement replaced:
+    eval_grid on Grid(G0), then on each staggered half grid, folding a
+    running max of |f| or sum of |f|^p.  The reference for
+    spaces._refine_stack."""
+    sup = math.isinf(p)
+
+    def fold(acc, grid):
+        v = np.abs(eval_grid(f, grid))
+        return max(acc, float(v.max())) if sup else acc + float(np.sum(v ** p))
+
+    def value(acc, G):
+        return acc if sup else (acc / G) ** (1.0 / p)
+
+    G = spaces._start_grid(f.span)
+    acc = fold(0.0, Grid(G))
+    prev = value(acc, G)
+    while G < spaces.GRID_CAP:
+        acc = fold(acc, Grid(G, staggered=True))
+        G *= 2
+        cur = value(acc, G)
+        if abs(cur - prev) <= spaces.REFINE_REL_TOL * max(cur, 1e-300):
+            return cur, G, True
+        prev = cur
+    return prev, G, False
+
+
+@pytest.mark.parametrize("stack_points", [None, 1 << 12])
+def test_stack_matches_one_row_loop_bitwise(stack_points, monkeypatch):
+    # None keeps the default chunk; 2^12 points splits every stack into
+    # chunks of at most 2^12 / G rows, down to one row per transform
+    if stack_points is not None:
+        monkeypatch.setattr(spaces, "_STACK_POINTS", stack_points)
+    shapes = []
+    transform = spaces._transform
+
+    def recording_transform(buf):
+        shapes.append(buf.shape)
+        return transform(buf)
+
+    monkeypatch.setattr(spaces, "_transform", recording_transform)
+    rng = np.random.default_rng(31)
+    mixed = [random_poly(rng, int(d))
+             for d in rng.integers(0, 300, size=40)]     # start grids 16..4096
+    assert len({spaces._start_grid(f.span) for f in mixed}) >= 6
+    # block j of all twelve symbols shares one start grid; seeds 1 and 4
+    # each have a block that ends at GRID_CAP unconverged.  Phases taken
+    # from a padded (rows, W) coefficient array move some of these values
+    # by an ulp
+    blocks = [bj for s in range(12)
+              for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
+              if not bj.is_zero]
+    unconverged = 0
+    for stack in (mixed, blocks):
+        for p in (math.inf, 2.0 / 3.0, 1.0, 3.0):
+            got = spaces._refine_stack(stack, p)
+            assert got == [one_row_refine(f, p) for f in stack], p
+            unconverged += sum(not ok for _, _, ok in got)
+    assert unconverged > 0
+    assert all(rows * G <= spaces._STACK_POINTS or rows == 1
+               for rows, G in shapes)
+    assert max(rows for rows, _ in shapes) > 1
+
+
+def test_stack_of_zero_polynomials():
+    f = TrigPoly([1.0, 1.0], 0)
+    got = spaces._refine_stack([TrigPoly.zero(), f, TrigPoly.zero()], 1.0)
+    assert got[0] == got[2] == (0.0, 16, True)
+    assert got[1] == one_row_refine(f, 1.0)
+    assert sup_norm(TrigPoly.zero()) == (0.0, 16, True)
+    assert hardy_norm(TrigPoly.zero(), 0.5) == spaces.HardyNorm(
+        0.5, 0.0, 16, True)
+
+
+def test_batched_symbols_match_one_element_calls():
+    for max_block in (5, 10):
+        seeds = [[17, max_block, s] for s in range(50)]
+        symbols = random_symbols(0.5, max_block, seeds)
+        assert symbols == [random_symbol(0.5, max_block, s) for s in seeds]
+        assert lipschitz_norms(symbols, 0.5) == [lipschitz_norm(b, 0.5)
+                                                 for b in symbols]
+    assert random_symbols(0.5, 3, []) == [] == lipschitz_norms([], 0.5)
+
+
 def test_refinement_evaluates_final_grid_size_points(monkeypatch):
+    # every grid value comes from spaces._transform, one row per stacked
+    # polynomial: a one-row call that ends at grid G transforms G points,
+    # and a stack transforms the sum of its rows' final grids
     points = []
+    transform = spaces._transform
 
-    def counting_eval_grid(f, grid):
-        points.append(grid.size)
-        return eval_grid(f, grid)
+    def counting_transform(buf):
+        points.append(buf.shape[0] * buf.shape[1])
+        return transform(buf)
 
-    monkeypatch.setattr(spaces, "eval_grid", counting_eval_grid)
+    monkeypatch.setattr(spaces, "_transform", counting_transform)
     rng = np.random.default_rng(29)
     polys = [random_poly(rng, d) for d in (0, 1, 7, 40, 300)]
     polys += [bj for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, 3]))
@@ -295,6 +384,10 @@ def test_refinement_evaluates_final_grid_size_points(monkeypatch):
         for p in (2.0 / 3.0, 3.0, math.inf):
             points.clear()
             assert hardy_norm(f, p).grid_size == sum(points)
+    for p in (1.0, math.inf):
+        points.clear()
+        got = spaces._refine_stack(polys, p)
+        assert sum(G for _, G, _ in got) == sum(points)
 
 
 SUP_ORACLE_GRID = 1 << 22

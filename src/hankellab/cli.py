@@ -28,6 +28,7 @@ from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      multilinear_truncated_apply, truncated_apply)
 from .opnorm import section_norm_2_2
+from .reporting import write_summary_json
 from .serialize import load_poly, poly_to_triples, save_poly
 from .spaces import lipschitz_norm, random_symbol
 from .trigpoly import Grid, eval_grid
@@ -107,9 +108,7 @@ def _cmd_opnorm(args):
     if not args.witness:
         payload.pop("witness", None)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary_json(args.out, payload)
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

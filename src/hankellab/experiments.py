@@ -32,8 +32,8 @@ from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      beta_minus_one_identity_check, section_weights)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
-from .spaces import (hardy_norms, lipschitz_norms, modulated_norm_ratios,
-                     random_symbol, random_symbols)
+from .spaces import (hardy_norms, modulated_norm_ratios, random_symbol,
+                     random_symbols)
 from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, coeff_distance, eval_grid,
                        flip, multiply, random_poly, tail_projection)
 
@@ -594,12 +594,15 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
     alpha, q, pp = float(p["alpha"]), float(p["q"]), float(p["p"])
     seeds = range(int(p["seeds"]))
 
+    # random_symbols scales every symbol to Lipschitz norm 1, so the ratio
+    # ||H_{k,l,mu}(b, f)||_{H^p} / (||b||_{Lambda_alpha} ||f||_{H^q})
+    # divides by ||f||_{H^q} alone
     symbols = random_symbols(alpha, int(p["symbol_max_block"]),
                              [[config.seed, 61, s] for s in seeds])
     fs = [random_poly(_rng(config.seed, 67, s), int(p["f_degree"]))
           for s in seeds]
-    corpus = [(b, f, lip.value, hardy.value) for b, f, lip, hardy in zip(
-        symbols, fs, lipschitz_norms(symbols, alpha), hardy_norms(fs, q))]
+    corpus = [(b, f, hardy.value)
+              for b, f, hardy in zip(symbols, fs, hardy_norms(fs, q))]
 
     cases = []
     for band, pairs in sorted(p["bands"].items()):
@@ -618,8 +621,8 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
                                        [c[1] for c in block], k, l)
             nums = _row_hardy_norms(coeffs, lo, pp)
             for j in range(len(mus)):
-                for num, (_b, _f, lip_b, hardy_f) in zip(nums[j], block):
-                    ratios[j].append(num / (lip_b * hardy_f))
+                for num, (_b, _f, hardy_f) in zip(nums[j], block):
+                    ratios[j].append(num / hardy_f)
         for j, mu in enumerate(mus):
             for s, ratio in enumerate(ratios[j]):
                 rows.append((band, k, l, mu, s, ratio))

@@ -109,16 +109,9 @@ class TruncationSpec:
         return w
 
 
-def _ensure_symbol(b: TrigPoly) -> TrigPoly:
-    if not b.is_analytic:
-        raise NonAnalyticError("Hankel symbols must be analytic")
-    return b
-
-
-def _ensure_analytic(f: TrigPoly, what: str = "input") -> TrigPoly:
+def _ensure_analytic(f: TrigPoly, what: str) -> None:
     if not f.is_analytic:
         raise NonAnalyticError(f"Hankel {what} must be analytic")
-    return f
 
 
 def section_weights(spec: TruncationSpec, rows: int,
@@ -149,8 +142,8 @@ def hankel_apply(b: TrigPoly, f: TrigPoly, method: str = "direct") -> TrigPoly:
     computes analytic_part(b * flip(f)).  The two agree exactly and are kept
     as independent code paths for cross-validation.
     """
-    _ensure_symbol(b)
-    _ensure_analytic(f)
+    _ensure_analytic(b, "symbols")
+    _ensure_analytic(f, "input")
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
     if method == "projection":
@@ -168,8 +161,8 @@ def truncated_apply(b: TrigPoly, spec: TruncationSpec, f: TrigPoly) -> TrigPoly:
     """Pi_{beta,gamma}(H_b) f for a linear truncation (arity 1)."""
     if spec.arity != 1:
         raise ParameterError("linear truncation requires a length-1 beta")
-    _ensure_symbol(b)
-    _ensure_analytic(f)
+    _ensure_analytic(b, "symbols")
+    _ensure_analytic(f, "input")
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
     D = f.max_freq
@@ -187,9 +180,9 @@ def multilinear_truncated_apply(b: TrigPoly, spec: TruncationSpec,
         raise ParameterError(
             f"arity mismatch: beta has length {spec.arity}, "
             f"got {len(fs)} inputs")
-    _ensure_symbol(b)
+    _ensure_analytic(b, "symbols")
     for f in fs:
-        _ensure_analytic(f)
+        _ensure_analytic(f, "input")
     if b.is_zero or any(f.is_zero for f in fs):
         return TrigPoly.zero()
     K = b.max_freq
@@ -220,8 +213,8 @@ def column_truncation_apply(b: TrigPoly, N: int, f: TrigPoly) -> TrigPoly:
     """The beta = infinity (column) truncation: keep input frequencies
     n >= N.  Computed as an independently masked sum; equals
     hankel_apply(b, tail_projection(f, N))."""
-    _ensure_symbol(b)
-    _ensure_analytic(f)
+    _ensure_analytic(b, "symbols")
+    _ensure_analytic(f, "input")
     if b.is_zero or f.is_zero:
         return TrigPoly.zero()
     D = f.max_freq
@@ -251,7 +244,7 @@ def matrix_section(b: TrigPoly, spec: TruncationSpec | None,
     """The read-only rows x cols complex array (b_{m+n})_{0<=m<rows,
     0<=n<cols}, masked by the truncation weights of a linear spec when one
     is given."""
-    _ensure_symbol(b)
+    _ensure_analytic(b, "symbols")
     rows, cols = int(rows), int(cols)
     if rows <= 0 or cols <= 0:
         raise SectionSizeError("section dimensions must be positive")

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonAnalyticError, ParameterError, UndefinedRatioError
-from .trigpoly import (TrigPoly, Grid, eval_grid, lp_decompose, multiply,
-                       tail_projection)
+from .trigpoly import (TrigPoly, Grid, eval_grid, eval_grids, lp_decompose,
+                       multiply, tail_projection)
 
 GRID_CAP = 1 << 20
 REFINE_REL_TOL = 1e-8
@@ -82,29 +82,13 @@ def _start_grid(span: int) -> int:
 _STACK_POINTS = 1 << 21
 
 
-def _transform(buf: np.ndarray) -> np.ndarray:
-    """Grid values of every row of buf (coefficients placed at n mod G):
-    the one FFT of each refinement step."""
-    return np.fft.ifft(buf, axis=-1, norm="forward")
-
-
-def _fold_grid(fs, G: int, staggered: bool, p: float) -> list:
-    """max |f| (p = inf) or sum |f|^p over Grid(G, staggered), for each f in
-    fs, transforming at most _STACK_POINTS points at a time."""
+def _fold_grid(fs, grid: Grid, p: float) -> list:
+    """max |f| (p = inf) or sum |f|^p over grid, for each f in fs,
+    evaluating at most _STACK_POINTS points at a time."""
     out = []
-    step = max(1, _STACK_POINTS // G)
+    step = max(1, _STACK_POINTS // grid.size)
     for start in range(0, len(fs), step):
-        chunk = fs[start:start + step]
-        buf = np.zeros((len(chunk), G), dtype=np.complex128)
-        for r, f in enumerate(chunk):
-            n = f.frequencies()
-            c = f.coeffs
-            if staggered:
-                # eval_grid's 1-D expression row by row: the same phases to
-                # the last bit, which one 2-D product does not give
-                c = c * np.exp(1j * np.pi * n / G)
-            buf[r][n % G] += c
-        v = np.abs(_transform(buf))
+        v = np.abs(eval_grids(fs[start:start + step], grid))
         folded = v.max(axis=-1) if math.isinf(p) else np.sum(v ** p, axis=-1)
         out += folded.tolist()
     return out
@@ -136,10 +120,10 @@ def _refine_stack(fs, p: float) -> list:
         if not f.is_zero:
             groups.setdefault(_start_grid(f.span), []).append(i)
     for G, live in groups.items():
-        acc = dict(zip(live, _fold_grid([fs[i] for i in live], G, False, p)))
+        acc = dict(zip(live, _fold_grid([fs[i] for i in live], Grid(G), p)))
         prev = {i: value(acc[i], G) for i in live}
         while live and G < GRID_CAP:
-            new = _fold_grid([fs[i] for i in live], G, True, p)
+            new = _fold_grid([fs[i] for i in live], Grid(G, True), p)
             G *= 2
             pending = []
             for i, a in zip(live, new):

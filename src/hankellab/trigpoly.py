@@ -28,6 +28,7 @@ __all__ = [
     "TrigPoly",
     "Grid",
     "eval_grid",
+    "eval_grids",
     "multiply",
     "analytic_part",
     "flip",
@@ -276,26 +277,32 @@ class Grid:
         return f"Grid({self.size}{tag})"
 
 
-def eval_grid(f: TrigPoly, grid: Grid) -> np.ndarray:
-    """Values of f at the grid nodes, computed by FFT.
+def eval_grids(fs, grid: Grid) -> np.ndarray:
+    """Values of each f in fs at the grid nodes, one row per polynomial,
+    computed by one FFT over the stack.
 
-    Requires grid.size >= 2*span(f) + 1 so that distinct frequencies of f
-    occupy distinct FFT bins with margin for downstream products.
+    Requires grid.size >= 2*span(f) + 1 for every f so that distinct
+    frequencies of f occupy distinct FFT bins with margin for downstream
+    products.
     """
     G = grid.size
-    if f.is_zero:
-        return np.zeros(G, dtype=np.complex128)
-    if G < 2 * f.span + 1:
-        raise GridSizeError(
-            f"grid size {G} too small for frequency span {f.span} "
-            f"(need >= {2 * f.span + 1})")
-    n = f.frequencies()
-    c = f.coeffs
-    if grid.staggered:
-        c = c * np.exp(1j * np.pi * n / G)
-    buf = np.zeros(G, dtype=np.complex128)
-    np.add.at(buf, n % G, c)
-    return np.fft.ifft(buf, norm="forward")
+    buf = np.zeros((len(fs), G), dtype=np.complex128)
+    for row, f in zip(buf, fs):
+        if G < 2 * f.span + 1:
+            raise GridSizeError(
+                f"grid size {G} too small for frequency span {f.span} "
+                f"(need >= {2 * f.span + 1})")
+        n = f.frequencies()
+        c = f.coeffs
+        if grid.staggered:
+            c = c * np.exp(1j * np.pi * n / G)
+        row[n % G] = c
+    return np.fft.ifft(buf, axis=-1, norm="forward")
+
+
+def eval_grid(f: TrigPoly, grid: Grid) -> np.ndarray:
+    """Values of f at the grid nodes: the one-row eval_grids."""
+    return eval_grids([f], grid)[0]
 
 
 # -- coefficient operations ------------------------------------------------

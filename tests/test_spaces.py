@@ -308,25 +308,23 @@ def one_row_refine(f, p):
 @pytest.mark.parametrize("stack_points", [None, 1 << 12])
 def test_stack_matches_one_row_loop_bitwise(stack_points, monkeypatch):
     # None keeps the default chunk; 2^12 points splits every stack into
-    # chunks of at most 2^12 / G rows, down to one row per transform
+    # chunks of at most 2^12 / G rows, down to one row per eval_grids call
     if stack_points is not None:
         monkeypatch.setattr(spaces, "_STACK_POINTS", stack_points)
     shapes = []
-    transform = spaces._transform
+    evaluate = spaces.eval_grids
 
-    def recording_transform(buf):
-        shapes.append(buf.shape)
-        return transform(buf)
+    def recording_eval_grids(fs, grid):
+        shapes.append((len(fs), grid.size))
+        return evaluate(fs, grid)
 
-    monkeypatch.setattr(spaces, "_transform", recording_transform)
+    monkeypatch.setattr(spaces, "eval_grids", recording_eval_grids)
     rng = np.random.default_rng(31)
     mixed = [random_poly(rng, int(d))
              for d in rng.integers(0, 300, size=40)]     # start grids 16..4096
     assert len({spaces._start_grid(f.span) for f in mixed}) >= 6
     # block j of all twelve symbols shares one start grid; seeds 1 and 4
-    # each have a block that ends at GRID_CAP unconverged.  Phases taken
-    # from a padded (rows, W) coefficient array move some of these values
-    # by an ulp
+    # each have a block that ends at GRID_CAP unconverged
     blocks = [bj for s in range(12)
               for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
               if not bj.is_zero]
@@ -363,17 +361,17 @@ def test_batched_symbols_match_one_element_calls():
 
 
 def test_refinement_evaluates_final_grid_size_points(monkeypatch):
-    # every grid value comes from spaces._transform, one row per stacked
-    # polynomial: a one-row call that ends at grid G transforms G points,
-    # and a stack transforms the sum of its rows' final grids
+    # every grid value comes from eval_grids, one row per stacked
+    # polynomial: a one-row call that ends at grid G evaluates G points,
+    # and a stack evaluates the sum of its rows' final grids
     points = []
-    transform = spaces._transform
+    evaluate = spaces.eval_grids
 
-    def counting_transform(buf):
-        points.append(buf.shape[0] * buf.shape[1])
-        return transform(buf)
+    def counting_eval_grids(fs, grid):
+        points.append(len(fs) * grid.size)
+        return evaluate(fs, grid)
 
-    monkeypatch.setattr(spaces, "_transform", counting_transform)
+    monkeypatch.setattr(spaces, "eval_grids", counting_eval_grids)
     rng = np.random.default_rng(29)
     polys = [random_poly(rng, d) for d in (0, 1, 7, 40, 300)]
     polys += [bj for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, 3]))

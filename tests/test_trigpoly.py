@@ -8,10 +8,10 @@ from hankellab.errors import (DegreeOverflowError, GridSizeError,
                               NonAnalyticError)
 from hankellab.trigpoly import (Grid, TrigPoly, analytic_part,
                                 analytic_partial_sum, coeff_distance,
-                                eval_grid, flip, lp_block, lp_decompose,
-                                lp_window_weight, multiply, partial_sum,
-                                random_poly, stretch, tail_projection,
-                                top_block_index, translate)
+                                eval_grid, eval_grids, flip, lp_block,
+                                lp_decompose, lp_window_weight, multiply,
+                                partial_sum, random_poly, stretch,
+                                tail_projection, top_block_index, translate)
 
 
 # -- construction and canonical form ----------------------------------------
@@ -89,9 +89,22 @@ def test_eval_and_coeffs_round_trip():
             1.0, float(np.abs(f.coeffs).max()))
 
 
+def scaled_inverse(f, G, staggered):
+    """G * ifft of f's coefficients placed at n mod G, after the phase
+    e^{i pi n/G} of the staggered nodes: the 1-D reference for eval_grid."""
+    n = f.frequencies()
+    c = f.coeffs
+    if staggered:
+        c = c * np.exp(1j * np.pi * n / G)
+    buf = np.zeros(G, dtype=np.complex128)
+    np.add.at(buf, n % G, c)
+    return G * np.fft.ifft(buf)
+
+
 def test_eval_grid_forward_norm_is_bitwise_the_scaled_inverse():
     # ifft(norm="forward") skips ifft's 1/G and the caller's G; both are
-    # powers of two, so the values equal G * ifft(buf) bit for bit
+    # powers of two, so the values equal G * ifft(buf) bit for bit, also
+    # row by row of a stack
     rng = np.random.default_rng(17)
     for _ in range(400):
         deg = int(rng.integers(0, 300))
@@ -99,20 +112,27 @@ def test_eval_grid_forward_norm_is_bitwise_the_scaled_inverse():
         f = random_poly(rng, deg, min_freq=lo)
         G = 1 << int(rng.integers((2 * f.span).bit_length(), 13))
         for staggered in (False, True):
-            n = f.frequencies()
-            c = f.coeffs
-            if staggered:
-                c = c * np.exp(1j * np.pi * n / G)
-            buf = np.zeros(G, dtype=np.complex128)
-            np.add.at(buf, n % G, c)
             assert np.array_equal(eval_grid(f, Grid(G, staggered)),
-                                  G * np.fft.ifft(buf))
+                                  scaled_inverse(f, G, staggered))
+    stack = [random_poly(rng, int(d), min_freq=-int(d) // 3)
+             for d in rng.integers(0, 300, size=12)]
+    stack.insert(5, TrigPoly.zero())
+    assert len({f.span for f in stack}) > 10
+    for staggered in (False, True):
+        vals = eval_grids(stack, Grid(1024, staggered))
+        assert vals.shape == (len(stack), 1024)
+        for f, row in zip(stack, vals):
+            assert np.array_equal(row, scaled_inverse(f, 1024, staggered))
 
 
 def test_eval_grid_too_small_raises():
-    f = random_poly(np.random.default_rng(0), 40)
+    rng = np.random.default_rng(0)
+    f = random_poly(rng, 40)
     with pytest.raises(GridSizeError):
         eval_grid(f, Grid(64))
+    # one row too wide fails the whole stack
+    with pytest.raises(GridSizeError):
+        eval_grids([random_poly(rng, 10), f, TrigPoly.zero()], Grid(64))
 
 
 def test_multiply_convolution_oracle():

@@ -163,9 +163,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _validate_kl_pairs(*groups):
+    for pairs in groups:
+        for k, l in pairs:
+            BHTParams(k, l, 0)    # raises on bad pairs
+
+
 # ---------------------------------------------------------------------------
 # identity_suite
 # ---------------------------------------------------------------------------
+
+def _validate_identity_suite(p):
+    _validate_kl_pairs(p["kl_pairs"])
+    if not any(k + l > 0 for k, l in p["kl_pairs"]):
+        raise ParameterError("kl_pairs needs a pair with k + l > 0 for the "
+                             "link identity")
+    if not p["nu_grid"] or not p["gamma_grid"]:
+        raise ParameterError("nu_grid and gamma_grid must be nonempty")
+
 
 def identity_suite_rows(config: ExperimentConfig) -> list:
     p = config.params
@@ -245,11 +260,6 @@ def summarize_identity_suite(params, rows):
 def _rel_sup_error(values, reference):
     scale = max(float(np.abs(reference).max()), 1.0)
     return float(np.abs(values - reference).max()) / scale
-
-
-def _validate_bht_consistency(p):
-    for k, l in p["kl_pairs"]:
-        BHTParams(k, l, 0)    # raises on bad pairs
 
 
 def bht_consistency_rows(config: ExperimentConfig) -> list:
@@ -381,15 +391,13 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
             [(float(x), float(g)) for x, g in p["spot_points"]]):
         b = random_symbol(float(p["spot_alpha"]), 5, [config.seed, 41, idx])
         spec = TruncationSpec((beta,), gamma)
-        deg = int(p["spot_degree"])
-        trunc = ratio_search_qp(
-            lambda f: truncated_apply(b, spec, f), 2.0 / 3.0, 2.0, deg,
-            samples=int(p["spot_samples"]), seed=[config.seed, 43, idx])
-        fullop = ratio_search_qp(
-            lambda f: hankel_apply(b, f), 2.0 / 3.0, 2.0, deg,
-            samples=int(p["spot_samples"]), seed=[config.seed, 43, idx])
-        rows.append(("spot_truncated", beta, gamma, idx, trunc.value))
-        rows.append(("spot_full", beta, gamma, idx, fullop.value))
+        for kind, op in (("spot_truncated",
+                          lambda f: truncated_apply(b, spec, f)),
+                         ("spot_full", lambda f: hankel_apply(b, f))):
+            est = ratio_search_qp(op, 2.0 / 3.0, 2.0, int(p["spot_degree"]),
+                                  samples=int(p["spot_samples"]),
+                                  seed=[config.seed, 43, idx])
+            rows.append((kind, beta, gamma, idx, est.value))
     return rows
 
 
@@ -550,12 +558,6 @@ def log_growth_charts(base, rows):
 _FAMILY_BLOCK = 64
 
 
-def _validate_constant_stability(p):
-    for pairs in p["bands"].values():
-        for k, l in pairs:
-            BHTParams(k, l, 0)
-
-
 def _row_hardy_norms(coeffs, lo, p):
     """hardy_norm(g, p).value of g = TrigPoly(row, lo) for every row of the
     (mu, pair, W) array coeffs, as nested lists, with g flipped when it lies
@@ -565,7 +567,8 @@ def _row_hardy_norms(coeffs, lo, p):
     At p = 2 no g is built: each row is pruned at PRUNE_TOL, trimmed to its
     nonzero window, reversed where g is flipped, and reduced by the 1-D
     np.linalg.norm that hardy_norm applies to g.coeffs.  The summation
-    order fixes the last bits, hence the reversal.
+    order fixes the last bits, hence the reversal.  The general path gives
+    the same values in about three times the time.
     """
     if p != 2:
         gs = [[TrigPoly(row, lo) for row in rows] for rows in coeffs]
@@ -601,8 +604,7 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
                              [[config.seed, 61, s] for s in seeds])
     fs = [random_poly(_rng(config.seed, 67, s), int(p["f_degree"]))
           for s in seeds]
-    corpus = [(b, f, hardy.value)
-              for b, f, hardy in zip(symbols, fs, hardy_norms(fs, q))]
+    dens = [h.value for h in hardy_norms(fs, q)]
 
     cases = []
     for band, pairs in sorted(p["bands"].items()):
@@ -615,14 +617,13 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
     for band, k, l in cases:
         mus = range(-abs(l), abs(l) + 1)
         ratios = [[] for _ in mus]
-        for start in range(0, len(corpus), _FAMILY_BLOCK):
-            block = corpus[start:start + _FAMILY_BLOCK]
-            coeffs, lo = bht_mu_family([c[0] for c in block],
-                                       [c[1] for c in block], k, l)
+        for start in range(0, len(fs), _FAMILY_BLOCK):
+            block = slice(start, start + _FAMILY_BLOCK)
+            coeffs, lo = bht_mu_family(symbols[block], fs[block], k, l)
             nums = _row_hardy_norms(coeffs, lo, pp)
             for j in range(len(mus)):
-                for num, (_b, _f, hardy_f) in zip(nums[j], block):
-                    ratios[j].append(num / hardy_f)
+                for num, den in zip(nums[j], dens[block]):
+                    ratios[j].append(num / den)
         for j, mu in enumerate(mus):
             for s, ratio in enumerate(ratios[j]):
                 rows.append((band, k, l, mu, s, ratio))
@@ -751,6 +752,7 @@ EXPERIMENTS = {
         columns=("identity", "seed", "params", "residual"),
         run=identity_suite_rows,
         summarize=summarize_identity_suite,
+        validate=_validate_identity_suite,
     ),
     "bht_consistency": Experiment(
         defaults={
@@ -767,7 +769,7 @@ EXPERIMENTS = {
         columns=("variant", "k", "l", "mu", "seed", "grid", "rel_error"),
         run=bht_consistency_rows,
         summarize=summarize_bht_consistency,
-        validate=_validate_bht_consistency,
+        validate=lambda p: _validate_kl_pairs(p["kl_pairs"]),
     ),
     "truncation_uniformity": Experiment(
         defaults={
@@ -831,7 +833,8 @@ EXPERIMENTS = {
         columns=("band", "k", "l", "mu", "seed", "ratio"),
         run=constant_stability_rows,
         summarize=summarize_constant_stability,
-        validate=_validate_constant_stability,
+        validate=lambda p: _validate_kl_pairs(*p["bands"].values(),
+                                              p["exploratory"]),
     ),
     "lemma_lipschitz_sweep": Experiment(
         defaults={

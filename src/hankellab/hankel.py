@@ -92,6 +92,7 @@ class TruncationSpec:
         """
         return self.cutoff_weights(m, self.cutoffs(t))
 
+    # kept: weights(i0, t) per output index made multilinear calls 22% slower
     @staticmethod
     def cutoffs(t):
         """Integer cutoffs (ceil(t - BOUNDARY_TOL), floor(t + BOUNDARY_TOL))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 
@@ -44,13 +43,7 @@ def write_rows_csv(path, columns, rows):
 
 
 def _cell(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}{v.imag:+}j"
-    return v
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 def write_summary_json(path, summary):

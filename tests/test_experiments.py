@@ -14,6 +14,7 @@ from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, run_experiment)
 from hankellab.hankel import TruncationSpec, matrix_section, section_weights
+from hankellab.reporting import write_rows_csv
 from hankellab.serialize import load_poly
 from hankellab.spaces import (hardy_norm, lipschitz_norm, random_symbol,
                               reduce_symbol)
@@ -87,11 +88,19 @@ def test_beta_grid_exclusion_zones():
 
 
 def test_bad_kl_pairs_rejected():
-    with pytest.raises(ParameterError):
-        ExperimentConfig("bht_consistency", params={"kl_pairs": [[1, -1]]})
-    with pytest.raises(ParameterError):
-        ExperimentConfig("constant_stability",
-                         params={"bands": {"A": [[2, 0]]}})
+    for name, params in [
+        ("bht_consistency", {"kl_pairs": [[1, -1]]}),
+        ("constant_stability", {"bands": {"A": [[2, 0]]}}),
+        # exploratory pairs are checked before the corpus is drawn
+        ("constant_stability", {"exploratory": [[1, -1]]}),
+        ("identity_suite", {"kl_pairs": [[1, 2], [1, -1]]}),
+        # the link identity needs a pair with k + l > 0
+        ("identity_suite", {"kl_pairs": [[2, -3]]}),
+        ("identity_suite", {"nu_grid": []}),
+        ("identity_suite", {"gamma_grid": []}),
+    ]:
+        with pytest.raises(ParameterError):
+            ExperimentConfig(name, params=params)
 
 
 def test_config_dict_round_trip():
@@ -295,6 +304,13 @@ def test_report_write_files(tmp_path):
     assert len(svgs) == 2                           # one chart per beta
 
 
+def test_csv_cells_are_plain_repr(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_rows_csv(path, ("a", "b", "c", "d", "e"),
+                   [(np.float64(0.5), float("nan"), 3, "x=1", -0.0)])
+    assert path.read_bytes() == b"a,b,c,d,e\r\n0.5,nan,3,x=1,-0.0\r\n"
+
+
 def test_report_csv_bytes_reproducible(tmp_path):
     a = run_experiment(tiny_config("log_growth"))
     b = run_experiment(tiny_config("log_growth"))
@@ -398,6 +414,12 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     code = main(["experiment", "run", "log_growth", "--config", str(path)])
     assert code == 1
     capsys.readouterr()
+    # a config the validator rejects, not a traceback from the run
+    path.write_text(yaml.safe_dump(dict(cfg, kl_pairs=[[2, -3]])))
+    code = main(["experiment", "run", "--config", str(path),
+                 "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
     # argparse usage errors: unknown experiment, unknown flag (including the
     # removed --threads), missing required option
     for argv in (["experiment", "run", "bogus"],

@@ -70,7 +70,11 @@ class BHTParams:
     def __post_init__(self):
         for name in ("k", "l", "mu"):
             v = getattr(self, name)
-            if int(v) != v:
+            try:
+                integral = int(v) == v
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
                 raise ParameterError(f"{name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.l == 0:

@@ -165,8 +165,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _validate_kl_pairs(*groups):
     for pairs in groups:
-        for k, l in pairs:
-            BHTParams(k, l, 0)    # raises on bad pairs
+        if not isinstance(pairs, (list, tuple)):
+            raise ParameterError(f"expected a list of (k, l) pairs, got "
+                                 f"{pairs!r}")
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ParameterError(f"a (k, l) pair must be two integers, "
+                                     f"got {pair!r}")
+            BHTParams(*pair, 0)    # raises on bad pairs
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +598,13 @@ def _row_hardy_norms(coeffs, lo, p):
     return norms
 
 
+def _validate_constant_stability(p):
+    if not isinstance(p["bands"], dict):
+        raise ParameterError(f"bands must map band names to (k, l) pairs, "
+                             f"got {p['bands']!r}")
+    _validate_kl_pairs(*p["bands"].values(), p["exploratory"])
+
+
 def constant_stability_rows(config: ExperimentConfig) -> list:
     p = config.params
     alpha, q, pp = float(p["alpha"]), float(p["q"]), float(p["p"])
@@ -833,8 +846,7 @@ EXPERIMENTS = {
         columns=("band", "k", "l", "mu", "seed", "ratio"),
         run=constant_stability_rows,
         summarize=summarize_constant_stability,
-        validate=lambda p: _validate_kl_pairs(*p["bands"].values(),
-                                              p["exploratory"]),
+        validate=_validate_constant_stability,
     ),
     "lemma_lipschitz_sweep": Experiment(
         defaults={

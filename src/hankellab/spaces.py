@@ -3,8 +3,13 @@
 Hardy quasi-norms ||f||_{H^p} (p > 0, p = inf allowed) are boundary L^p means
 on progressively refined grids, except at p = 2, where Parseval gives the
 norm in closed form as the l^2 norm of the coefficients.  The norms of many
-polynomials are refined as one stack: polynomials that share a start grid
-share one FFT per doubling.  The canonical
+polynomials are refined as one stack: at finite p, polynomials that share a
+start grid share one FFT per doubling.  Sup norms (p = inf) evaluate only
+the new nodes that lie in cells where a bound on |f|^2 (Bernstein's
+inequality plus the linear-interpolation error) can still reach the running
+maximum; a skipped node cannot change that maximum, so the values, grid
+sizes and stopping decisions are those of the every-node loop up to
+rounding.  The canonical
 Lipschitz norm Lambda_alpha is the Littlewood-Paley block norm
 sup_j 2^{j alpha} ||b_j||_inf, which works for every alpha > 0; the
 classical difference-quotient norm is implemented for 0 < alpha < 1 as an
@@ -13,6 +18,7 @@ equivalence cross-check only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,17 +86,218 @@ def _start_grid(span: int) -> int:
 
 # rows x grid points per stacked transform: bounds the (rows, G) buffer
 _STACK_POINTS = 1 << 21
+# a row's live staggered nodes are summed directly while (live cells) x
+# (padded coefficient width) < _DIRECT_COST * G, else the row is one FFT
+_DIRECT_COST = 4
+# a cell whose bound on |f|^2 is below (running max)^2 * _DEAD cannot hold a
+# node that raises the running max; the margin absorbs rounding of the values
+_DEAD = 1.0 - 1e-12
+# coefficients per block of a direct sum
+_BLOCK = 32
 
 
-def _fold_grid(fs, grid: Grid, p: float) -> list:
-    """max |f| (p = inf) or sum |f|^p over grid, for each f in fs,
-    evaluating at most _STACK_POINTS points at a time."""
-    out = []
+def _eval_chunks(fs, grid: Grid):
+    """(start, eval_grids(fs[start:stop], grid)) over fs, at most
+    _STACK_POINTS grid points per chunk."""
     step = max(1, _STACK_POINTS // grid.size)
     for start in range(0, len(fs), step):
-        v = np.abs(eval_grids(fs[start:start + step], grid))
-        folded = v.max(axis=-1) if math.isinf(p) else np.sum(v ** p, axis=-1)
-        out += folded.tolist()
+        yield start, eval_grids(fs[start:start + step], grid)
+
+
+@functools.cache
+def _root_tables():
+    """cos and sin of 2 pi m / (2 GRID_CAP) at m = 64 a (coarse) and m = b
+    < 64 (fine), so that every 2 GRID_CAP-th root of unity is one product
+    of two entries.  Built on first use."""
+    M = 2 * GRID_CAP
+    coarse = 2.0 * np.pi * np.arange(0, M, 64) / M
+    fine = 2.0 * np.pi * np.arange(64) / M
+    tables = (np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _roots(m):
+    """(cos, sin) of 2 pi m / (2 GRID_CAP) for integer arrays m, reduced
+    exactly modulo 2 GRID_CAP and looked up as m = 64 a + b."""
+    cos_a, sin_a, cos_b, sin_b = _root_tables()
+    m = m & (2 * GRID_CAP - 1)
+    a, b = m >> 6, m & 63
+    ca, sa, cb, sb = cos_a[a], sin_a[a], cos_b[b], sin_b[b]
+    return ca * cb - sa * sb, sa * cb + ca * sb
+
+
+def _eval_staggered(re, im, first, count, nodes, grids) -> np.ndarray:
+    """|f_i| at the staggered node pi (2 k + 1) / G of Grid(G), for each
+    (first, count, k, G) in zip(first, count, nodes, grids), by direct sums.
+
+    Blocks first, ..., first + count - 1 of re + 1j im hold the
+    coefficients of f_i, B = _BLOCK per block, the lowest frequency first
+    (a common frequency shift leaves |f| unchanged).  With
+    z = e^{i pi (2k+1)/G}, f(z) = sum_u z^{Bu} sum_v c_{Bu+v} z^v, so a
+    node needs B + count roots of unity, not B count.  The sums are in real
+    arithmetic, each operation rounded on its own, and each value depends
+    only on its own blocks and node, never on the other nodes evaluated
+    with it."""
+    q = (2 * nodes + 1) * (GRID_CAP // grids)
+    zr, zi = _roots(q[:, None] * np.arange(_BLOCK))          # z^v
+    heads = np.cumsum(count) - count
+    owner = np.repeat(np.arange(nodes.size), count)
+    u = np.arange(owner.size) - heads[owner]
+    cre, cim = re[first[owner] + u], im[first[owner] + u]
+    zr, zi = zr[owner], zi[owner]
+    sr = (cre * zr - cim * zi).sum(axis=-1)
+    si = (cre * zi + cim * zr).sum(axis=-1)
+    wr, wi = _roots(q[owner] * (_BLOCK * u))                 # z^{Bu}
+    return np.hypot(np.add.reduceat(sr * wr - si * wi, heads),
+                    np.add.reduceat(sr * wi + si * wr, heads))
+
+
+def _refine_sup(fs) -> list:
+    """_refine_stack(fs, inf) for nonzero polynomials.
+
+    Cell j of Grid(G) is [t_j, t_{j+1}].  With g = |f|^2 and s = span(f),
+    g is a real trigonometric polynomial of degree s, so Bernstein's
+    inequality gives |g''| <= s^2 ||g||_inf, and linear interpolation
+    bounds g on a cell of width h by max(g(t_j), g(t_{j+1})) + s^2 h^2
+    ||g||_inf / 8.  On the start grid (G >= 8s, so s^2 h^2 / 8 < 1) the
+    same bound gives ||g||_inf <= max_j g(t_j) / (1 - s^2 h^2 / 8).  A cell
+    whose bound is below the running max of g holds no node that can raise
+    that max, so its nodes are never evaluated (the cell is dead).  Each
+    doubling evaluates the midpoints of the live cells only, which are the
+    staggered nodes the full loop would add there, splits those cells in
+    two and divides the bound term by 4.  The running max after each
+    doubling is therefore the full loop's, up to rounding of the node
+    values, and so are the stopping rule, grid_size and converged.
+
+    Every row doubles its own grid at each pass.  A row's midpoints are
+    direct sums (_eval_staggered) while its live cells times its padded
+    width stay below _DIRECT_COST * G, and one row of a stacked FFT over the
+    rows at the same G otherwise.  The choice and the padding depend on the
+    row alone, so each result is bit for bit the one-element result.
+    """
+    R = len(fs)
+    spans = np.array([f.span for f in fs])
+    grids = np.array([_start_grid(s) for s in spans])
+    count = spans // _BLOCK + 1                 # blocks per row
+    first = np.cumsum(count) - count
+    flat = np.zeros(count.sum() * _BLOCK, dtype=np.complex128)
+    for f, at in zip(fs, first * _BLOCK):
+        flat[at:at + f.coeffs.size] = f.coeffs
+    re = flat.real.reshape(-1, _BLOCK).copy()
+    im = flat.imag.reshape(-1, _BLOCK).copy()
+    sh = (spans * (2.0 * np.pi) / grids) ** 2 / 8.0      # s^2 h^2 / 8
+    acc = np.empty(R)
+    term = np.empty(R)
+    parts = []                     # (row, j, |f(t_j)|, |f(t_{j+1})|)
+    for G in sorted(set(grids.tolist())):
+        idx = np.flatnonzero(grids == G)
+        for start, v in _eval_chunks([fs[i] for i in idx], Grid(G)):
+            a = np.abs(v)
+            r = idx[start:start + len(a)]
+            top = a.max(axis=-1)
+            acc[r] = top
+            term[r] = sh[r] * top * top / (1.0 - sh[r])
+            # a cell is live when g at one of its ends reaches top^2 - term
+            hot = a >= np.sqrt(top * top * _DEAD - term[r])[:, None]
+            i = np.flatnonzero(hot | np.roll(hot, -1, axis=-1))
+            a = a.ravel()
+            parts.append((r[i // G], i % G, a[i], a[i - i % G + (i + 1) % G]))
+    rows, nodes, a_left, a_right = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    rows, nodes = rows[order], nodes[order]
+    a_left, a_right = a_left[order], a_right[order]
+    prev = acc.copy()
+    active = np.ones(R, dtype=bool)
+    out = [None] * R
+    while True:
+        capped = active & (grids == GRID_CAP)
+        for i in np.flatnonzero(capped):
+            out[i] = (float(prev[i]), GRID_CAP, False)
+        active &= ~capped
+        if not active.any():
+            break
+        cells = np.bincount(rows, minlength=R)
+        direct = cells * count * _BLOCK < _DIRECT_COST * grids
+        mid = np.empty(rows.size)
+        sel = np.flatnonzero(direct[rows])
+        # chunks of about _STACK_POINTS / 64 coefficients, which stay in cache
+        chunk = np.cumsum(count[rows[sel]]) * _BLOCK // (_STACK_POINTS >> 6)
+        for s in np.split(sel, np.flatnonzero(np.diff(chunk)) + 1):
+            if s.size:
+                r = rows[s]
+                mid[s] = _eval_staggered(re, im, first[r], count[r],
+                                         nodes[s], grids[r])
+        for G in sorted(set(grids[~direct].tolist())):
+            fft_rows = np.flatnonzero(~direct & (grids == G))
+            pos = np.full(R, -1)
+            pos[fft_rows] = np.arange(fft_rows.size)
+            sel = np.flatnonzero(pos[rows] >= 0)
+            at = pos[rows[sel]]
+            for start, v in _eval_chunks([fs[r] for r in fft_rows],
+                                         Grid(G, True)):
+                lo, hi = np.searchsorted(at, [start, start + len(v)])
+                s = sel[lo:hi]
+                mid[s] = np.abs(v[at[lo:hi] - start, nodes[s]])
+        hit = np.flatnonzero(cells)            # rows is sorted
+        heads = np.cumsum(cells[hit]) - cells[hit]
+        acc[hit] = np.maximum(acc[hit], np.maximum.reduceat(mid, heads))
+        grids[active] *= 2
+        done = active & (np.abs(acc - prev)
+                         <= REFINE_REL_TOL * np.maximum(acc, 1e-300))
+        for i in np.flatnonzero(done):
+            out[i] = (float(acc[i]), int(grids[i]), True)
+        active &= ~done
+        prev[active] = acc[active]
+        keep = active[rows]
+        # cell (j; left, mid, right) splits into (2j; left, mid) and
+        # (2j + 1; mid, right)
+        ends = np.array([a_left[keep], mid[keep], a_right[keep]]).T
+        a_left, a_right = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        nodes = (2 * nodes[keep, None] + (0, 1)).ravel()
+        rows = np.repeat(rows[keep], 2)
+        term /= 4.0
+        floor = np.sqrt(acc * acc * _DEAD - term)[rows]
+        live = (a_left >= floor) | (a_right >= floor)
+        rows, nodes = rows[live], nodes[live]
+        a_left, a_right = a_left[live], a_right[live]
+    return out
+
+
+def _refine_mean(fs, G: int, p: float) -> list:
+    """_refine_stack(fs, p) for finite p and nonzero polynomials that all
+    start at G: each doubling evaluates all G new staggered nodes of the
+    rows not yet converged, one stacked FFT per chunk."""
+
+    def fold(live, grid):
+        sums = []
+        for _, v in _eval_chunks([fs[i] for i in live], grid):
+            sums += np.sum(np.abs(v) ** p, axis=-1).tolist()
+        return sums
+
+    def value(acc, G):
+        return (acc / G) ** (1.0 / p)
+
+    live = list(range(len(fs)))
+    out = [None] * len(fs)
+    acc = fold(live, Grid(G))
+    prev = [value(a, G) for a in acc]
+    while live and G < GRID_CAP:
+        new = fold(live, Grid(G, True))
+        G *= 2
+        pending = []
+        for i, a in zip(live, new):
+            acc[i] += a
+            cur = value(acc[i], G)
+            if abs(cur - prev[i]) <= REFINE_REL_TOL * max(cur, 1e-300):
+                out[i] = (cur, G, True)
+            else:
+                prev[i] = cur
+                pending.append(i)
+        live = pending
+    for i in live:
+        out[i] = (prev[i], G, False)
     return out
 
 
@@ -102,46 +309,44 @@ def _refine_stack(fs, p: float) -> list:
     (0.0, 16, True).
 
     Grid(2G) is Grid(G) plus Grid(G, staggered=True), since
-    2pi(2j+1)/(2G) = 2pi(j+1/2)/G, so each doubling evaluates only the G new
-    staggered nodes and folds them into a running max of |f| or a running
-    sum of |f|^p: a polynomial that stops at grid G costs G points in all.
-    Polynomials with the same start grid double together, one stacked FFT
-    per doubling over those not yet converged; each value is bit for bit
-    the one the polynomial gets alone.
+    2pi(2j+1)/(2G) = 2pi(j+1/2)/G, so each doubling adds only the G new
+    staggered nodes to a running max of |f| or a running sum of |f|^p.  At
+    finite p every node is evaluated: a polynomial that stops at grid G
+    costs G points in all.  At p = inf a node is evaluated only if it lies
+    in a cell of the previous grid where an interpolation bound on |f|^2
+    can still reach the running max (_refine_sup); the skipped nodes
+    cannot change that max, so the values, grid sizes and converged flags
+    are those of the every-node loop up to rounding.  Polynomials double
+    together (at finite p, those with the same start grid), and each value
+    is bit for bit the one the polynomial gets alone.
     """
-    sup = math.isinf(p)
-
-    def value(acc, G):
-        return acc if sup else (acc / G) ** (1.0 / p)
-
     out = [(0.0, 16, True)] * len(fs)
+    live = [i for i, f in enumerate(fs) if not f.is_zero]
+    if math.isinf(p):
+        got = _refine_sup([fs[i] for i in live]) if live else []
+        for i, res in zip(live, got):
+            out[i] = res
+        return out
     groups = {}
-    for i, f in enumerate(fs):
-        if not f.is_zero:
-            groups.setdefault(_start_grid(f.span), []).append(i)
-    for G, live in groups.items():
-        acc = dict(zip(live, _fold_grid([fs[i] for i in live], Grid(G), p)))
-        prev = {i: value(acc[i], G) for i in live}
-        while live and G < GRID_CAP:
-            new = _fold_grid([fs[i] for i in live], Grid(G, True), p)
-            G *= 2
-            pending = []
-            for i, a in zip(live, new):
-                acc[i] = max(acc[i], a) if sup else acc[i] + a
-                cur = value(acc[i], G)
-                if abs(cur - prev[i]) <= REFINE_REL_TOL * max(cur, 1e-300):
-                    out[i] = (cur, G, True)
-                else:
-                    prev[i] = cur
-                    pending.append(i)
-            live = pending
-        for i in live:
-            out[i] = (prev[i], G, False)
+    for i in live:
+        groups.setdefault(_start_grid(fs[i].span), []).append(i)
+    for G, idx in groups.items():
+        for i, res in zip(idx, _refine_mean([fs[i] for i in idx], G, p)):
+            out[i] = res
     return out
 
 
 def sup_norm(f: TrigPoly):
-    """(value, grid_size, converged): refined-grid maximum of |f|."""
+    """(value, grid_size, converged): refined-grid maximum of |f|.
+
+    The grid doubles from _start_grid(f.span) until one doubling raises the
+    maximum by at most REFINE_REL_TOL relative, or reaches GRID_CAP.  A
+    doubling evaluates only the new nodes in cells of the previous grid
+    whose interpolation bound on |f|^2 reaches the running maximum; the
+    others lie below it and cannot change the value, grid_size or
+    converged.  converged means only that the last doubling found no
+    higher node, not that the value is within REFINE_REL_TOL of sup |f|.
+    """
     return _refine_stack([f], math.inf)[0]
 
 

@@ -101,6 +101,20 @@ def test_bad_kl_pairs_rejected():
     ]:
         with pytest.raises(ParameterError):
             ExperimentConfig(name, params=params)
+    # entries that are not a pair of integers, and containers that are not
+    # lists, are config errors too
+    for bad in ([[1]], [[1, 2, 3]], [1], [[1, "a"]], [[1, None]],
+                [[1, float("inf")]], 5):
+        for name, params in [
+            ("bht_consistency", {"kl_pairs": bad}),
+            ("identity_suite", {"kl_pairs": bad}),
+            ("constant_stability", {"bands": {"A": bad}}),
+            ("constant_stability", {"exploratory": bad}),
+        ]:
+            with pytest.raises(ParameterError):
+                ExperimentConfig(name, params=params)
+    with pytest.raises(ParameterError):
+        ExperimentConfig("constant_stability", params={"bands": [[1, 1]]})
 
 
 def test_config_dict_round_trip():
@@ -415,11 +429,12 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
     # a config the validator rejects, not a traceback from the run
-    path.write_text(yaml.safe_dump(dict(cfg, kl_pairs=[[2, -3]])))
-    code = main(["experiment", "run", "--config", str(path),
-                 "--out", str(tmp_path / "bad")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for bad in ([[2, -3]], [[1]]):
+        path.write_text(yaml.safe_dump(dict(cfg, kl_pairs=bad)))
+        code = main(["experiment", "run", "--config", str(path),
+                     "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
     # argparse usage errors: unknown experiment, unknown flag (including the
     # removed --threads), missing required option
     for argv in (["experiment", "run", "bogus"],

@@ -1,7 +1,9 @@
-"""The package namespace: every public name of the layer modules, once; and
-no module or test imports a name it never uses."""
+"""The package namespace: every public name of the layer modules, once; no
+module or test imports a name it never uses; and the library imports only
+numpy, PyYAML and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hankellab
@@ -51,3 +53,18 @@ def test_no_unused_imports():
     unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p.read_text())
               for p in paths}
     assert {p: names for p, names in unused.items() if names} == {}
+
+
+def test_library_imports_only_numpy_yaml_and_stdlib():
+    # hypothesis, scipy and pytest may be installed for the tests; the
+    # library must run without them
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml"}
+    for path in sorted((ROOT / "src" / "hankellab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert {n.split(".")[0] for n in names} <= allowed, path.name

@@ -13,7 +13,8 @@ from hankellab.spaces import (hardy_norm, lipschitz_norm, lipschitz_norm_diff,
                               random_symbol, random_symbols, reduce_symbol,
                               reduction_index, sup_norm)
 from hankellab.trigpoly import (Grid, TrigPoly, coeff_distance, eval_grid,
-                                lp_decompose, random_poly, tail_projection)
+                                lp_decompose, random_poly, tail_projection,
+                                translate)
 
 
 # -- hardy_norm ---------------------------------------------------------------
@@ -332,7 +333,18 @@ def test_stack_matches_one_row_loop_bitwise(stack_points, monkeypatch):
     for stack in (mixed, blocks):
         for p in (math.inf, 2.0 / 3.0, 1.0, 3.0):
             got = spaces._refine_stack(stack, p)
-            assert got == [one_row_refine(f, p) for f in stack], p
+            ref = [one_row_refine(f, p) for f in stack]
+            if math.isinf(p):
+                # the pruned sup loop sums some nodes directly: bit for bit
+                # its own one-element result, and the every-node loop's up
+                # to rounding
+                assert got == [spaces._refine_stack([f], p)[0]
+                               for f in stack]
+                for g, r in zip(got, ref):
+                    assert g[1:] == r[1:]
+                    assert abs(g[0] - r[0]) <= 1e-14 * r[0]
+            else:
+                assert got == ref, p
             unconverged += sum(not ok for _, _, ok in got)
     assert unconverged > 0
     assert all(rows * G <= spaces._STACK_POINTS or rows == 1
@@ -361,31 +373,126 @@ def test_batched_symbols_match_one_element_calls():
 
 
 def test_refinement_evaluates_final_grid_size_points(monkeypatch):
-    # every grid value comes from eval_grids, one row per stacked
-    # polynomial: a one-row call that ends at grid G evaluates G points,
-    # and a stack evaluates the sum of its rows' final grids
+    # at finite p every grid value comes from eval_grids, one row per
+    # stacked polynomial: a one-row call that ends at grid G evaluates G
+    # points, and a stack evaluates the sum of its rows' final grids.  At
+    # p = inf only the nodes of live cells are evaluated, by FFT or by
+    # direct sums
     points = []
     evaluate = spaces.eval_grids
+    direct = spaces._eval_staggered
 
     def counting_eval_grids(fs, grid):
         points.append(len(fs) * grid.size)
         return evaluate(fs, grid)
 
+    def counting_eval_staggered(*args):
+        values = direct(*args)
+        points.append(values.size)
+        return values
+
     monkeypatch.setattr(spaces, "eval_grids", counting_eval_grids)
+    monkeypatch.setattr(spaces, "_eval_staggered", counting_eval_staggered)
     rng = np.random.default_rng(29)
     polys = [random_poly(rng, d) for d in (0, 1, 7, 40, 300)]
-    polys += [bj for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, 3]))
+    blocks = [bj for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, 3]))
               if not bj.is_zero]
-    for f in polys:
-        points.clear()
-        assert sup_norm(f)[1] == sum(points)
-        for p in (2.0 / 3.0, 3.0, math.inf):
+    for f in polys + blocks:
+        for p in (2.0 / 3.0, 3.0):
             points.clear()
             assert hardy_norm(f, p).grid_size == sum(points)
-    for p in (1.0, math.inf):
         points.clear()
-        got = spaces._refine_stack(polys, p)
-        assert sum(G for _, G, _ in got) == sum(points)
+        assert sup_norm(f)[1] >= sum(points)
+        points.clear()
+        assert hardy_norm(f, math.inf).grid_size >= sum(points)
+    points.clear()
+    got = spaces._refine_stack(polys + blocks, 1.0)
+    assert sum(G for _, G, _ in got) == sum(points)
+    points.clear()
+    got = spaces._refine_stack(blocks, math.inf)
+    assert 4 * sum(points) <= sum(G for _, G, _ in got)
+
+
+def test_pruned_sup_edge_cases_match_full_grid_loop(monkeypatch):
+    # span 0 (a constant, and a monomial at frequency 500) keeps every cell
+    # live; 1 + e^{16it} has 16 equal peaks; the lemma block ends at
+    # GRID_CAP unconverged
+    capped = next(bj for s in (1, 4)
+                  for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
+                  if not bj.is_zero and not sup_norm(bj)[2])
+    cases = [TrigPoly.constant(-2.5j), TrigPoly.character(500, 0.75),
+             TrigPoly.from_pairs([(0, 1.0), (16, 1.0)]), capped]
+    got = [sup_norm(f) for f in cases]
+    for (value, G, ok), f in zip(got, cases):
+        ref = full_grid_refine(
+            f, lambda G: float(np.abs(eval_grid(f, Grid(G))).max()))
+        assert (G, ok) == ref[1:]
+        assert abs(value - ref[0]) <= 1e-14 * ref[0]
+    assert [r[1:] for r in got] == [(32, True), (32, True), (256, True),
+                                    (spaces.GRID_CAP, False)]
+    # the zero polynomial keeps its closed-form result, also in a stack, and
+    # a stack split into chunks of at most 2^12 points (and direct sums of
+    # one or two nodes) is bit for bit the one-element calls
+    monkeypatch.setattr(spaces, "_STACK_POINTS", 1 << 12)
+    zero = TrigPoly.zero()
+    assert sup_norm(zero) == (0.0, 16, True)
+    assert spaces._refine_stack([zero] + cases + [zero], math.inf) == \
+        [(0.0, 16, True)] + got + [(0.0, 16, True)]
+
+
+def test_pruned_sup_evaluates_exactly_the_live_cells(monkeypatch):
+    # with every live node summed directly, the nodes a doubling evaluates
+    # are the ones passed to _eval_staggered.  They must be the midpoints of
+    # the live cells of the reference pruning below (Bernstein plus
+    # interpolation bound, on values from full grids), and no skipped node
+    # may exceed the running max after its doubling
+    evaluated = []
+    direct = spaces._eval_staggered
+
+    def recording_eval_staggered(re, im, first, count, nodes, grids):
+        evaluated.extend(zip(grids.tolist(), nodes.tolist()))
+        return direct(re, im, first, count, nodes, grids)
+
+    monkeypatch.setattr(spaces, "_eval_staggered", recording_eval_staggered)
+    monkeypatch.setattr(spaces, "_DIRECT_COST", math.inf)
+    blocks = [bj for s in range(12)
+              for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
+              if not bj.is_zero]
+    rng = np.random.default_rng(37)
+    polys = [random_poly(rng, int(rng.integers(1, 60))) for _ in range(60)]
+    # two Fejer peaks at 0 and near pi, the second higher by a relative
+    # 1e-6 .. 3e-3 and off the start grid: the running max starts on the
+    # lower peak, and only the bound keeps the cells of the higher one live
+    n = 20
+    fejer = TrigPoly(1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1), -n)
+    h = 2 * np.pi / spaces._start_grid(fejer.span)
+    peaks = [fejer + (1 + 10 ** rng.uniform(-6, -2.5))
+             * translate(fejer, -(np.pi + rng.random() * h))
+             for _ in range(200)]
+    skipped_total = 0
+    for f in blocks + polys + peaks:
+        evaluated.clear()
+        _, end, _ = sup_norm(f)
+        G = spaces._start_grid(f.span)
+        a = np.abs(eval_grid(f, Grid(G)))
+        acc = float(a.max())
+        sh = (f.span * 2 * np.pi / G) ** 2 / 8
+        term = sh * acc * acc / (1 - sh)
+        live = np.ones(G, dtype=bool)
+        while G < end:
+            hot = a >= math.sqrt(acc * acc * spaces._DEAD - term)
+            live &= hot | np.roll(hot, -1)
+            assert sorted(k for g, k in evaluated if g == G) == \
+                np.flatnonzero(live).tolist()
+            mid = np.abs(eval_grid(f, Grid(G, staggered=True)))
+            acc = max(acc, float(mid[live].max()))
+            assert mid[~live].max(initial=0.0) <= acc * (1 + 1e-13)
+            skipped_total += int((~live).sum())
+            a = np.stack([a, mid], axis=-1).ravel()
+            live = np.repeat(live, 2)
+            term /= 4
+            G *= 2
+    assert skipped_total > 0
 
 
 SUP_ORACLE_GRID = 1 << 22

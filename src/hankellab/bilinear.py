@@ -33,12 +33,13 @@ t_j = 2pi (j + 1/2)/G, so in the DFT of length G two shift identities hold
 exactly: multiplying the nodes' samples by e^{iat_j} shifts their DFT by a
 and multiplies it by e^{i pi a/G}, and multiplying the output by e^{icx_i}
 shifts its DFT by c.  Each symbol frequency p is then one product of shifted
-kernel and input transforms, and a whole quadrature is two forward FFTs and
-one inverse.
+kernel and input transforms, and a whole quadrature is one forward FFT and
+one inverse, plus one kernel FFT per grid size.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -46,8 +47,8 @@ import numpy as np
 
 from .errors import NonAnalyticError, ParameterError
 from .hankel import TruncationSpec, hankel_apply, truncated_apply
-from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, analytic_part,
-                       coeff_distance, eval_grid, stretch, translate)
+from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, coeff_distance,
+                       eval_grid, stretch, translate)
 
 __all__ = [
     "BHTParams",
@@ -191,11 +192,15 @@ def bht_mu_family(bs, fs, k: int, l: int):
                        params.L, True)
 
 
-def _cot_kernel(G: int) -> np.ndarray:
-    """K[d] = (1/G) cot(pi (d - 1/2)/G), the midpoint samples of the kernel
-    (1/2pi) cot((x-t)/2) at x - t = (2pi/G)(d - 1/2)."""
+@functools.lru_cache(maxsize=4)
+def _doubled_kernel_transform(G: int) -> np.ndarray:
+    """Read-only [khat, khat] for khat the DFT of K[d] = (1/G) cot(pi (d -
+    1/2)/G), the midpoint samples of the kernel (1/2pi) cot((x-t)/2) at
+    x - t = (2pi/G)(d - 1/2); computed once per G, on first use."""
     d = np.arange(G, dtype=np.float64)
-    return (1.0 / G) / np.tan(np.pi * (d - 0.5) / G)
+    kk = np.tile(np.fft.fft((1.0 / G) / np.tan(np.pi * (d - 0.5) / G)), 2)
+    kk.setflags(write=False)
+    return kk
 
 
 def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
@@ -219,8 +224,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
         Y[u] = sum_p b_p e^{i pi a/G} khat[u - c] ghat[u - Lp]
                - base sum_p b_p (khat ghat)[u - Lp],
 
-    and the result is ifft(Y): two forward FFTs and one inverse per call,
-    plus a few length-G multiply-adds per symbol frequency.  Method "direct"
+    and the result is ifft(Y): one forward FFT and one inverse per call,
+    plus one kernel FFT per grid size (cached) and a few length-G
+    multiply-adds per symbol frequency.  Method "direct"
     forms the chunked O(G^2) double sum.  Both are rearrangements of the
     same finite sums.
     """
@@ -244,10 +250,9 @@ def pv_quadrature(b: TrigPoly, f: TrigPoly, params: BHTParams, G: int,
     if method == "fft":
         # the DFT sum Y of the docstring; each shift is a view into a
         # doubled copy
-        khat = np.fft.fft(_cot_kernel(G))
-        ghat = np.fft.fft(g)
-        kk, gg, kgkg = (np.concatenate([a, a])
-                        for a in (khat, ghat, khat * ghat))
+        kk = _doubled_kernel_transform(G)
+        gg = np.tile(np.fft.fft(g), 2)
+        kgkg = kk * gg
 
         def shifted(doubled, s):
             # entry u is entry (u - s) mod G of the array that was doubled
@@ -321,15 +326,20 @@ def link_identity_check(b: TrigPoly, f: TrigPoly, k: int, l: int,
     # e^{i gamma_l x} e^{-i gamma_l t}; f((k+l)(-t)) contributes e^{-i n L t}:
     # the family with (scale, mu, base) = (-L, gamma_l, off).
     rows, lo = _bht_coeffs([b], [f], k, l, [gamma_l], -L, False)
-    side_a = analytic_part(TrigPoly(rows[0, 0], lo))
+    side_a = TrigPoly(rows[0, 0][max(0, -lo):], max(lo, 0))   # n >= 0 part
 
     spec = TruncationSpec((k / l,), gamma_l / l, boundary="half")
     half = truncated_apply(b, spec, f)
     full = hankel_apply(b, f)
-    comb = 2.0 * half - full
     sgn = 1.0 if l > 0 else -1.0
-    side_b = stretch((-1j * sgn) * comb, L)
-    return coeff_distance(side_a, side_b)
+    # stretch((-1j*sgn) * (2.0*half - full), L) in one construction, with the
+    # same complex scalars; the rotation keeps every modulus, so the skipped
+    # prunes drop nothing more
+    K = max(half.max_freq, full.max_freq)
+    comb = complex(2.0) * half.window(0, K) - full.window(0, K)
+    side_b = np.zeros(L * K + 1, dtype=np.complex128)
+    side_b[::L] = complex(-1j * sgn) * comb
+    return coeff_distance(side_a, TrigPoly(side_b, 0))
 
 
 def translation_covariance_check(b: TrigPoly, f: TrigPoly, params: BHTParams,
@@ -345,7 +355,10 @@ def translation_covariance_check(b: TrigPoly, f: TrigPoly, params: BHTParams,
     (Translating the inputs by y itself is NOT an identity: the two sides
     would differ by e^{iq(L-1)y} phases on each f frequency q.)
     """
-    L = params.L
-    lhs = bht_mu_fourier(translate(b, L * y), translate(f, L * y), params)
-    rhs = translate(bht_mu_fourier(b, f, params), y)
-    return coeff_distance(lhs, rhs)
+    scale, mu, base = _form("mu_form", f, params)
+    Ly = params.L * y
+    # one accumulation for both pairs; each row is its one-pair result
+    rows, lo = _bht_coeffs([translate(b, Ly), b], [translate(f, Ly), f],
+                           params.k, params.l, [mu], scale, base)
+    return coeff_distance(TrigPoly(rows[0, 0], lo),
+                          translate(TrigPoly(rows[0, 1], lo), y))

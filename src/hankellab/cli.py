@@ -62,7 +62,11 @@ def _cmd_apply(args):
 def _cmd_truncate(args):
     b = load_poly(args.symbol)
     fs = [load_poly(path) for path in args.inputs]
-    beta = tuple(float(x) for x in args.beta.split(","))
+    try:
+        beta = tuple(float(x) for x in args.beta.split(","))
+    except ValueError:
+        raise ParameterError(f"--beta must be comma-separated numbers, "
+                             f"got {args.beta!r}") from None
     if len(beta) != len(fs):
         raise ParameterError(
             f"got {len(beta)} slope components for {len(fs)} inputs")

@@ -142,6 +142,12 @@ class ExperimentReport:
         return base + "_summary.json"
 
 
+def _max_nan(*xs):
+    """max(xs), but NaN if any x is NaN: the built-in max drops a NaN that
+    is not first, which would let a NaN residual pass a gate."""
+    return math.nan if any(x != x for x in xs) else max(xs)
+
+
 def _rng(*parts):
     """Deterministic per-point generator; parts may be negative ints."""
     return np.random.default_rng([int(p) % (1 << 32) for p in parts])
@@ -252,8 +258,8 @@ def summarize_identity_suite(params, rows):
     tol = float(params["residual_tol"])
     per = {}
     for identity, _, _, residual in rows:
-        per[identity] = max(per.get(identity, 0.0), float(residual))
-    max_res = max(per.values()) if per else 0.0
+        per[identity] = _max_nan(per.get(identity, 0.0), float(residual))
+    max_res = _max_nan(*per.values()) if per else 0.0
     passed = bool(per) and max_res <= tol
     return ({"per_identity": per, "max_residual": max_res,
              "residual_tol": tol, "rows": len(rows)}, passed)
@@ -322,8 +328,8 @@ def summarize_bht_consistency(params, rows):
     cross_tol = float(params["cross_tol"])
     per = {}
     for variant, *_rest, err in rows:
-        per[variant] = max(per.get(variant, 0.0), float(err))
-    main_max = max(per.get("plain_kl", 0.0), per.get("mu_form", 0.0))
+        per[variant] = _max_nan(per.get(variant, 0.0), float(err))
+    main_max = _max_nan(per.get("plain_kl", 0.0), per.get("mu_form", 0.0))
     cross_max = per.get("fft_vs_direct", 0.0)
     passed = (bool(per) and main_max <= rel_tol and cross_max <= cross_tol
               and "plain_kl" in per and "mu_form" in per)
@@ -649,13 +655,13 @@ def summarize_constant_stability(params, rows):
     for band, k, l, mu, _s, ratio in rows:
         key = (band, k, l)
         sups.setdefault(key, {})
-        sups[key][mu] = max(sups[key].get(mu, 0.0), float(ratio))
+        sups[key][mu] = _max_nan(sups[key].get(mu, 0.0), float(ratio))
     per_kl = {}
     bands = {}
     all_ok = bool(sups)
     for (band, k, l), per_mu in sorted(sups.items()):
         vals = list(per_mu.values())
-        spread = (max(vals) - min(vals)) / min(vals) if min(vals) > 0 \
+        spread = (_max_nan(*vals) - min(vals)) / min(vals) if min(vals) > 0 \
             else math.inf
         ok = spread <= spread_tol
         if band != "exploratory":
@@ -666,7 +672,7 @@ def summarize_constant_stability(params, rows):
             "passed": ok if band != "exploratory" else None,
         }
         if band != "exploratory":
-            bands.setdefault(band, []).append((k / l, max(vals)))
+            bands.setdefault(band, []).append((k / l, _max_nan(*vals)))
     band_summary = {}
     for band, pts in sorted(bands.items()):
         mx = max(v for _, v in pts)
@@ -714,11 +720,11 @@ def summarize_lemma_lipschitz_sweep(params, rows):
     xs_n, ys, xs_m = [], [], []
     for alpha, N, M, seed, ratio in rows:
         ratio = float(ratio)
-        if ratio > sup:
+        if not (ratio <= sup or math.isnan(sup)):
             sup = ratio
             argmax = {"alpha": alpha, "N": int(N), "M": int(M),
                       "seed": int(seed)}
-        per_n[int(N)] = max(per_n.get(int(N), 0.0), ratio)
+        per_n[int(N)] = _max_nan(per_n.get(int(N), 0.0), ratio)
         xs_n.append(math.log(int(N)))
         xs_m.append(math.log1p(abs(int(M))))
         ys.append(ratio)

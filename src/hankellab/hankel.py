@@ -41,6 +41,7 @@ from .trigpoly import (TrigPoly, analytic_part, analytic_partial_sum,
 BOUNDARY_TOL = 1e-8
 SECTION_GUARD = 4096
 MULTILINEAR_COST_GUARD = 10 ** 8
+_BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
     "TruncationSpec",
@@ -193,20 +194,26 @@ def multilinear_truncated_apply(b: TrigPoly, spec: TruncationSpec,
         raise CostGuardError(
             f"multilinear evaluation cost {cost} exceeds the guard "
             f"{MULTILINEAR_COST_GUARD}")
-    grids = np.meshgrid(*[np.arange(d + 1) for d in degs], indexing="ij")
-    index_sum = np.zeros(grids[0].shape, dtype=np.int64)
-    slope_dot = np.zeros(grids[0].shape, dtype=np.float64)
-    amp = np.ones(grids[0].shape, dtype=np.complex128)
-    for g, beta_j, f in zip(grids, spec.beta, fs):
+    shape = tuple(d + 1 for d in degs)
+    index_sum = np.zeros(shape, dtype=np.int64)
+    slope_dot = np.zeros(shape, dtype=np.float64)
+    amp = np.ones(shape, dtype=np.complex128)
+    for g, beta_j, f in zip(np.indices(shape), spec.beta, fs):
         index_sum += g
         slope_dot += beta_j * g
         amp = amp * f.window(0, f.max_freq)[g]
     B = b.window(0, K + sum(degs))
     out = np.zeros(K + 1, dtype=np.complex128)
-    cuts = spec.cutoffs(slope_dot + spec.gamma)
-    for i0 in range(K + 1):
+    # a block of output indices i0 per pass, about _BLOCK_ENTRIES entries:
+    # W is 0, 1/2 or 1, so W * amp is exact, and the row-wise sum of the
+    # C-contiguous block is the per-row np.sum bit for bit
+    cuts = tuple(c.ravel() for c in spec.cutoffs(slope_dot + spec.gamma))
+    amp, index_sum = amp.ravel(), index_sum.ravel()
+    step = max(1, _BLOCK_ENTRIES // amp.size)
+    for start in range(0, K + 1, step):
+        i0 = np.arange(start, min(start + step, K + 1))[:, None]
         W = spec.cutoff_weights(i0, cuts)
-        out[i0] = np.sum(W * amp * B[i0 + index_sum])
+        out[start:start + step] = np.sum(W * amp * B[i0 + index_sum], axis=1)
     return TrigPoly(out, 0)
 
 

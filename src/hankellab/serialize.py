@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import HankelLabError
 from .trigpoly import TrigPoly
 
 __all__ = ["poly_to_triples", "poly_from_triples", "save_poly", "load_poly"]
@@ -34,5 +35,11 @@ def save_poly(path, f: TrigPoly):
 
 
 def load_poly(path) -> TrigPoly:
-    with open(path) as fh:
-        return poly_from_triples(json.load(fh))
+    """Read a polynomial saved by save_poly; an unreadable file, invalid
+    JSON or a malformed triple raises HankelLabError naming the path."""
+    try:
+        with open(path) as fh:
+            return poly_from_triples(json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:
+        raise HankelLabError(
+            f"cannot read a polynomial from {path}: {exc}") from exc

@@ -69,23 +69,25 @@ class TrigPoly:
         arr = np.array(coeffs, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        if arr.size:
-            arr[np.abs(arr) <= PRUNE_TOL] = 0.0
-            nz = np.flatnonzero(arr)
-            if nz.size:
-                arr = arr[nz[0]:nz[-1] + 1]
-                min_freq = int(min_freq) + int(nz[0])
-            else:
-                arr = arr[:0]
-                min_freq = 0
-        else:
-            min_freq = 0
-        if arr.size:
+        # one mask: the entries left nonzero by the flush are exactly ~small
+        # (NaN included); argmin on it and on its reverse finds the first and
+        # last of them
+        small = np.abs(arr) <= PRUNE_TOL
+        first = int(small.argmin()) if arr.size else 0
+        if arr.size and not small[first]:
+            arr[small] = 0.0
+            last = arr.size - int(small[::-1].argmin()) if small[-1] \
+                else arr.size
+            arr = arr[first:last]
+            min_freq = int(min_freq) + first
             hi = min_freq + arr.size - 1
             if max(abs(min_freq), abs(hi)) > MAX_DEGREE:
                 raise DegreeOverflowError(
                     f"frequency window [{min_freq}, {hi}] exceeds the degree "
                     f"bound {MAX_DEGREE}")
+        else:
+            arr = arr[:0]
+            min_freq = 0
         arr.setflags(write=False)
         self._coeffs = arr
         self._min_freq = int(min_freq)
@@ -171,10 +173,12 @@ class TrigPoly:
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Dense coefficients over frequencies lo..hi inclusive."""
         lo, hi = int(lo), int(hi)
+        if lo == self._min_freq and hi - lo + 1 == self._coeffs.size:
+            return self._coeffs.copy()
         out = np.zeros(hi - lo + 1, dtype=np.complex128)
         if self._coeffs.size:
             a = max(lo, self._min_freq)
-            b = min(hi, self.max_freq)
+            b = min(hi, self._min_freq + self._coeffs.size - 1)
             if a <= b:
                 out[a - lo:b - lo + 1] = \
                     self._coeffs[a - self._min_freq:b - self._min_freq + 1]
@@ -187,26 +191,29 @@ class TrigPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other (op np.add or np.subtract) in one
+        union buffer; x - y is x + (-y) exactly."""
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if self.is_zero:
-            return other
         if other.is_zero:
             return self
+        if self.is_zero:
+            return other if op is np.add else -other
         lo = min(self._min_freq, other._min_freq)
         hi = max(self.max_freq, other.max_freq)
         buf = np.zeros(hi - lo + 1, dtype=np.complex128)
-        buf[self._min_freq - lo:self._min_freq - lo + self._coeffs.size] += \
-            self._coeffs
-        buf[other._min_freq - lo:other._min_freq - lo + other._coeffs.size] \
-            += other._coeffs
+        a = buf[self._min_freq - lo:self._min_freq - lo + self._coeffs.size]
+        a += self._coeffs
+        b = buf[other._min_freq - lo:other._min_freq - lo + other._coeffs.size]
+        op(b, other._coeffs, out=b)
         return TrigPoly(buf, lo)
 
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
     def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
         return TrigPoly(-self._coeffs, self._min_freq) \
@@ -449,11 +456,13 @@ def lp_decompose(f: TrigPoly):
 # -- misc helpers ------------------------------------------------------------
 
 def coeff_distance(f: TrigPoly, g: TrigPoly) -> float:
-    """max_n |f_n - g_n| over the union of the frequency windows."""
-    d = f - g
-    if d.is_zero:
-        return 0.0
-    return float(np.abs(d.coeffs).max())
+    """max_n |f_n - g_n| over the union of the frequency windows, and 0.0
+    when that is at most PRUNE_TOL (then the canonical f - g is zero).  A NaN
+    difference gives NaN."""
+    lo = min(f.min_freq, g.min_freq)
+    hi = max(f.max_freq, g.max_freq)
+    d = float(np.abs(f.window(lo, hi) - g.window(lo, hi)).max())
+    return 0.0 if d <= PRUNE_TOL else d
 
 
 def random_poly(rng, degree: int, min_freq: int = 0) -> TrigPoly:

@@ -369,6 +369,61 @@ def test_translation_covariance_random():
         assert res <= 1e-11
 
 
+def test_one_pass_checks_match_composed_forms_bitwise():
+    # link_identity_check builds side B in one construction and
+    # translation_covariance_check accumulates both pairs at once; each
+    # residual equals its composition from public calls bit for bit
+    from hankellab.bilinear import _bht_coeffs
+    from hankellab.hankel import (TruncationSpec, hankel_apply,
+                                  truncated_apply)
+    from hankellab.trigpoly import analytic_part, coeff_distance
+    rng = RNG(108)
+    for (k, l) in [(1, 1), (1, 2), (2, 1), (-1, 2), (3, -1)]:
+        L, gamma_l = k + l, int(rng.integers(-4, 5))
+        b = random_poly(rng, int(rng.integers(1, 20)))
+        f = random_poly(rng, int(rng.integers(1, 20)))
+        rows, lo = _bht_coeffs([b], [f], k, l, [gamma_l], -L, False)
+        side_a = analytic_part(TrigPoly(rows[0, 0], lo))
+        spec = TruncationSpec((k / l,), gamma_l / l, boundary="half")
+        comb = 2.0 * truncated_apply(b, spec, f) - hankel_apply(b, f)
+        side_b = stretch((-1j * (1.0 if l > 0 else -1.0)) * comb, L)
+        assert link_identity_check(b, f, k, l, gamma_l) == \
+            coeff_distance(side_a, side_b)
+
+        mu = int(rng.integers(-abs(l), abs(l) + 1))
+        params, y = BHTParams(k, l, mu), float(rng.uniform(0.0, 6.0))
+        b_gen = random_poly(rng, 8, min_freq=-8)
+        lhs = bht_mu_fourier(translate(b_gen, L * y), translate(f, L * y),
+                             params)
+        rhs = translate(bht_mu_fourier(b_gen, f, params), y)
+        assert translation_covariance_check(b_gen, f, params, y) == \
+            coeff_distance(lhs, rhs)
+
+
+def test_kernel_transform_is_cached_read_only_and_bitwise_stable():
+    from hankellab.bilinear import _doubled_kernel_transform
+    rng = RNG(109)
+    b = random_poly(rng, 6, min_freq=-6)
+    f = random_poly(rng, 5)
+    params = BHTParams(1, 2, 1)
+    _doubled_kernel_transform.cache_clear()
+    first = pv_quadrature(b, f, params, 256)
+    kk = _doubled_kernel_transform(256)
+    assert _doubled_kernel_transform(256) is kk
+    assert not kk.flags.writeable
+    with pytest.raises(ValueError):
+        kk[0] = 0.0
+    d = np.arange(256.0)
+    fresh = np.fft.fft((1.0 / 256) / np.tan(np.pi * (d - 0.5) / 256))
+    assert np.array_equal(kk, np.concatenate([fresh, fresh]))
+    # other grid sizes in between, or an emptied cache, change no bit
+    pv_quadrature(b, f, params, 128)
+    pv_quadrature(b, f, params, 512)
+    assert np.array_equal(pv_quadrature(b, f, params, 256), first)
+    _doubled_kernel_transform.cache_clear()
+    assert np.array_equal(pv_quadrature(b, f, params, 256), first)
+
+
 def test_translation_by_plain_y_is_not_covariant():
     # translating the inputs by y (not Ly) must fail for L != 1
     rng = RNG(107)

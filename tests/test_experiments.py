@@ -167,6 +167,29 @@ def test_bht_consistency_tiny_passes():
     assert mus == {-2, -1, 0, 1, 2}                # all |mu| <= |l| for l=2
 
 
+def test_identity_suite_gate_fails_on_nan_residual():
+    # the built-in max drops a NaN in second position; the gate must not
+    rep = run_experiment(tiny_config("identity_suite"))
+    rows = rep.rows + [("link", 99, "k=1,l=2,gamma_l=0", float("nan"))]
+    summary, passed = EXPERIMENTS["identity_suite"].summarize(
+        tiny_config("identity_suite").params, rows)
+    assert not passed
+    assert np.isnan(summary["max_residual"])
+    assert np.isnan(summary["per_identity"]["link"])
+
+
+def test_bht_consistency_gate_fails_on_nan_error():
+    rep = run_experiment(tiny_config("bht_consistency"))
+    rows = list(rep.rows)
+    i = next(i for i, row in enumerate(rows) if row[0] == "mu_form")
+    rows[i] = rows[i][:-1] + (float("nan"),)
+    summary, passed = EXPERIMENTS["bht_consistency"].summarize(
+        tiny_config("bht_consistency").params, rows)
+    assert not passed
+    assert np.isnan(summary["max_rel_error"])
+    assert np.isnan(summary["per_variant"]["mu_form"])
+
+
 def test_uniformity_tiny_beta_zero_exact():
     rep = run_experiment(tiny_config("truncation_uniformity"))
     bz = [row for row in rep.rows if row[0] == "beta_zero"]
@@ -421,6 +444,24 @@ def test_cli_errors_exit_one(tmp_path, capsys):
                  "--beta", "1,1", "--gamma", "0"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # an unparsable slope, a missing symbol file, malformed JSON and a
+    # malformed triple: an error line naming the problem, not a traceback
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("[[0, 1.0, 0.0], ")
+    bad_triple = tmp_path / "triple.json"
+    bad_triple.write_text("[[0, 1.0]]")
+    missing = str(tmp_path / "missing.json")
+    for argv, needle in (
+            (["truncate", "--symbol", sym, "--inputs", sym, sym,
+              "--beta", "1,x"], "--beta"),
+            (["apply", "--symbol", missing, "--input", sym], missing),
+            (["apply", "--symbol", str(bad_json), "--input", sym],
+             str(bad_json)),
+            (["truncate", "--symbol", sym, "--inputs", str(bad_triple),
+              "--beta", "1"], str(bad_triple))):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
     # config/name mismatch
     cfg = dict(TINY["identity_suite"], experiment="identity_suite")
     path = tmp_path / "c.yaml"

@@ -4,6 +4,7 @@ identities."""
 import numpy as np
 import pytest
 
+from hankellab import hankel
 from hankellab.errors import (CostGuardError, NonAnalyticError,
                               ParameterError, SectionSizeError)
 from hankellab.hankel import (BOUNDARY_TOL, TruncationSpec,
@@ -234,6 +235,45 @@ def test_multilinear_diagonal_reduces_to_scalar():
         rhs = truncated_apply(b, TruncationSpec((nu,), gamma),
                               multiply(fs[0], fs[1]))
         assert coeff_distance(lhs, rhs) <= 1e-12
+
+
+def _multilinear_loop_oracle(b, spec, fs):
+    """The per-output-index loop: one np.sum over the input grid per i0."""
+    degs = [f.max_freq for f in fs]
+    K = b.max_freq
+    grids = np.meshgrid(*[np.arange(d + 1) for d in degs], indexing="ij")
+    index_sum = np.zeros(grids[0].shape, dtype=np.int64)
+    slope_dot = np.zeros(grids[0].shape)
+    amp = np.ones(grids[0].shape, dtype=complex)
+    for g, beta_j, f in zip(grids, spec.beta, fs):
+        index_sum += g
+        slope_dot += beta_j * g
+        amp = amp * f.window(0, f.max_freq)[g]
+    B = b.window(0, K + sum(degs))
+    cuts = spec.cutoffs(slope_dot + spec.gamma)
+    out = np.zeros(K + 1, dtype=complex)
+    for i0 in range(K + 1):
+        W = spec.cutoff_weights(i0, cuts)
+        out[i0] = np.sum(W * amp * B[i0 + index_sum])
+    return TrigPoly(out, 0)
+
+
+@pytest.mark.parametrize("boundary", ["include", "half"])
+@pytest.mark.parametrize("degs", [(7,), (5, 9), (3, 4, 6), (60, 70),
+                                  (300, 299)])
+def test_multilinear_matches_per_index_loop_bitwise(boundary, degs):
+    rng = np.random.default_rng(sum(degs))
+    b = random_poly(rng, 30)
+    fs = [random_poly(rng, d) for d in degs]
+    # dyadic slopes put tuples exactly on the boundary
+    beta = (0.5, -0.25, 1.0)[:len(degs)]
+    spec = TruncationSpec(beta, 0.75, boundary=boundary)
+    if sum(degs) > 100:
+        # several blocks of output indices: 15, 15 and 1 rows at (60, 70),
+        # one row each at (300, 299)
+        assert 31 * np.prod([d + 1 for d in degs]) > hankel._BLOCK_ENTRIES
+    got = multilinear_truncated_apply(b, spec, fs)
+    assert got == _multilinear_loop_oracle(b, spec, fs)
 
 
 def test_multilinear_cost_guard():

@@ -86,6 +86,8 @@ class ExperimentConfig:
                 f"unknown config keys for {self.experiment}: "
                 f"{', '.join(sorted(unknown))}")
         self.params = {**spec.defaults, **self.params}
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
         if spec.validate is not None:
             spec.validate(self.params)
@@ -101,8 +103,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path) as fh:
+                data = yaml.safe_load(fh) or {}
+        except (OSError, yaml.YAMLError) as exc:
+            raise ParameterError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError("config file must hold a mapping")
         return cls.from_dict(data)
@@ -444,7 +449,7 @@ def summarize_truncation_uniformity(params, rows):
             "passed": ok,
         }
     bz = [float(v) for kind, _, _, _, v in rows if kind == "beta_zero"]
-    bz_max = max(bz) if bz else 1.0
+    bz_max = _max_nan(*bz) if bz else 1.0
     bz_ok = bool(bz) and bz_max <= 1.0 + bz_tol
     all_pass = all_pass and bz_ok
     spots = {f"{kind}:beta={beta},gamma={gamma}": float(v)

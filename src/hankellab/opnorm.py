@@ -6,7 +6,8 @@ its value is a certified lower bound.  It is the workhorse for the
 truncation-uniformity sweeps.  ratio_search_qp produces lower bounds for
 q -> p operator norms by sampling structured inputs and running a short
 coordinate ascent.  lebesgue_constant and sn_extremal_lower_bound
-provide the two classical log N growth quantities.
+provide the two classical log N growth quantities, both from one closed
+form for the Fourier coefficients of sign(D_N).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .spaces import hardy_norm, lipschitz_norm
 from .trigpoly import TrigPoly, analytic_partial_sum, multiply
 
 ASCENT_ROUNDS = 3
-LEBESGUE_NODES = 48
 # Golub-Kahan-Lanczos: Ritz extraction cadence, breakdown threshold relative
 # to the largest bidiagonal entry, the norm drop that triggers a second
 # Gram-Schmidt pass, and the initial row capacity of the bases
@@ -294,42 +294,29 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
                         converged)
 
 
+def _sign_dirichlet_weights(M: int, top: int) -> np.ndarray:
+    """w_v = tan(pi v/(2M+1)) / (pi v) for v = -top..top, w_0 = 1/(2M+1):
+    the Fourier coefficients of sign(D_M), which is (-1)^k on
+    (t_k, t_{k+1}), t_k = 2 pi k/(2M+1) (Fejer 1910; Zygmund,
+    Trigonometric Series I, ch. II)."""
+    v = np.arange(1, top + 1)
+    w = np.tan(np.pi * v / (2 * M + 1)) / (np.pi * v)
+    return np.concatenate([w[::-1], [1.0 / (2 * M + 1)], w])
+
+
 def lebesgue_constant(N: int) -> float:
-    """L_N = (1/2pi) int |D_N|, by Gauss-Legendre panels between the 2N+1
-    equally spaced roots of the Dirichlet kernel (D_N is single-signed on
-    each panel, so the absolute value commutes with panel integration).
-    Relative accuracy far below 1e-6 with LEBESGUE_NODES nodes per panel."""
+    """L_N = (1/2pi) int D_N sign(D_N), the sum over |v| <= N of the Fourier
+    coefficients of sign(D_N): Fejer's closed form 1/(2N+1) + (2/pi)
+    sum_{k=1}^{N} tan(pi k/(2N+1))/k."""
     N = int(N)
     if N < 0:
         raise ParameterError("N must be nonnegative")
-    if N == 0:
-        return 1.0
-    xg, wg = np.polynomial.legendre.leggauss(LEBESGUE_NODES)
-    bounds = 2.0 * np.pi * np.arange(2 * N + 2) / (2 * N + 1)
-    a, b = bounds[:-1], bounds[1:]
-    half = 0.5 * (b - a)[:, None]
-    tt = 0.5 * (a + b)[:, None] + half * xg[None, :]
-    D = np.sin((N + 0.5) * tt) / np.sin(0.5 * tt)
-    panel = np.sum(half * wg[None, :] * D, axis=1)
-    return float(np.sum(np.abs(panel)) / (2.0 * np.pi))
+    return float(np.sum(_sign_dirichlet_weights(N, N)))
 
 
 def _sign_dirichlet_coeffs(M: int) -> TrigPoly:
-    """Exact Fourier coefficients of w = sign(D_M): w is piecewise +-1 with
-    sign (-1)^k on (t_k, t_{k+1}), t_k = 2 pi k/(2M+1), k = 0..2M."""
-    t = 2.0 * np.pi * np.arange(2 * M + 2) / (2 * M + 1)
-    t[-1] = 2.0 * np.pi
-    s = (-1.0) ** np.arange(2 * M + 1)
-    nu = np.arange(-2 * M, 2 * M + 1)
-    coef = np.empty(nu.size, dtype=np.complex128)
-    for i, v in enumerate(nu):
-        if v == 0:
-            coef[i] = np.sum(s * (t[1:] - t[:-1])) / (2.0 * np.pi)
-        else:
-            coef[i] = np.sum(
-                s * (np.exp(-1j * v * t[:-1]) - np.exp(-1j * v * t[1:]))) \
-                / (2j * np.pi * v)
-    return TrigPoly(coef, -2 * M)
+    """sign(D_M) truncated to |v| <= 2M, from _sign_dirichlet_weights."""
+    return TrigPoly(_sign_dirichlet_weights(M, 2 * M), -2 * M)
 
 
 def sn_extremal_lower_bound(N: int, alpha: float) -> float:

@@ -29,9 +29,14 @@ def poly_from_triples(triples) -> TrigPoly:
 
 
 def save_poly(path, f: TrigPoly):
-    with open(path, "w") as fh:
-        json.dump(poly_to_triples(f), fh)
-        fh.write("\n")
+    """Write f as JSON triples; an unwritable path raises HankelLabError."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(poly_to_triples(f), fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise HankelLabError(
+            f"cannot write a polynomial to {path}: {exc}") from exc
 
 
 def load_poly(path) -> TrigPoly:

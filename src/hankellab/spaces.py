@@ -3,17 +3,16 @@
 Hardy quasi-norms ||f||_{H^p} (p > 0, p = inf allowed) are boundary L^p means
 on progressively refined grids, except at p = 2, where Parseval gives the
 norm in closed form as the l^2 norm of the coefficients.  The norms of many
-polynomials are refined as one stack: at finite p, polynomials that share a
-start grid share one FFT per doubling.  Sup norms (p = inf) evaluate only
-the new nodes that lie in cells where a bound on |f|^2 (Bernstein's
-inequality plus the linear-interpolation error) can still reach the running
-maximum; a skipped node cannot change that maximum, so the values, grid
-sizes and stopping decisions are those of the every-node loop up to
-rounding.  The canonical
-Lipschitz norm Lambda_alpha is the Littlewood-Paley block norm
-sup_j 2^{j alpha} ||b_j||_inf, which works for every alpha > 0; the
-classical difference-quotient norm is implemented for 0 < alpha < 1 as an
-equivalence cross-check only.
+polynomials are refined as one stack, whole grids by FFT and live
+midpoints by direct sums: at finite p every doubling is a whole grid, and
+at p = inf only the nodes in cells where a bound on |f|^2 (Bernstein's
+inequality plus the linear-interpolation error) can still reach the
+running maximum are live.  A skipped node cannot change that maximum, so
+the values, grid sizes and stopping decisions are those of the every-node
+loop up to rounding.  The canonical Lipschitz norm Lambda_alpha is the
+Littlewood-Paley block norm sup_j 2^{j alpha} ||b_j||_inf, which works
+for every alpha > 0; the classical difference-quotient norm is
+implemented for 0 < alpha < 1 as an equivalence cross-check only.
 """
 
 from __future__ import annotations
@@ -86,9 +85,6 @@ def _start_grid(span: int) -> int:
 
 # rows x grid points per stacked transform: bounds the (rows, G) buffer
 _STACK_POINTS = 1 << 21
-# a row's live staggered nodes are summed directly while (live cells) x
-# (padded coefficient width) < _DIRECT_COST * G, else the row is one FFT
-_DIRECT_COST = 4
 # a cell whose bound on |f|^2 is below (running max)^2 * _DEAD cannot hold a
 # node that raises the running max; the margin absorbs rounding of the values
 _DEAD = 1.0 - 1e-12
@@ -171,11 +167,9 @@ def _refine_sup(fs) -> list:
     doubling is therefore the full loop's, up to rounding of the node
     values, and so are the stopping rule, grid_size and converged.
 
-    Every row doubles its own grid at each pass.  A row's midpoints are
-    direct sums (_eval_staggered) while its live cells times its padded
-    width stay below _DIRECT_COST * G, and one row of a stacked FFT over the
-    rows at the same G otherwise.  The choice and the padding depend on the
-    row alone, so each result is bit for bit the one-element result.
+    The start grids are stacked eval_grids FFTs, and every later node is a
+    direct sum (_eval_staggered) that depends on its own row and node
+    alone, so each result is bit for bit the one-element result.
     """
     R = len(fs)
     spans = np.array([f.span for f in fs])
@@ -205,9 +199,6 @@ def _refine_sup(fs) -> list:
             a = a.ravel()
             parts.append((r[i // G], i % G, a[i], a[i - i % G + (i + 1) % G]))
     rows, nodes, a_left, a_right = (np.concatenate(c) for c in zip(*parts))
-    order = np.argsort(rows, kind="stable")
-    rows, nodes = rows[order], nodes[order]
-    a_left, a_right = a_left[order], a_right[order]
     prev = acc.copy()
     active = np.ones(R, dtype=bool)
     out = [None] * R
@@ -218,31 +209,13 @@ def _refine_sup(fs) -> list:
         active &= ~capped
         if not active.any():
             break
-        cells = np.bincount(rows, minlength=R)
-        direct = cells * count * _BLOCK < _DIRECT_COST * grids
-        mid = np.empty(rows.size)
-        sel = np.flatnonzero(direct[rows])
         # chunks of about _STACK_POINTS / 64 coefficients, which stay in cache
-        chunk = np.cumsum(count[rows[sel]]) * _BLOCK // (_STACK_POINTS >> 6)
-        for s in np.split(sel, np.flatnonzero(np.diff(chunk)) + 1):
-            if s.size:
-                r = rows[s]
-                mid[s] = _eval_staggered(re, im, first[r], count[r],
-                                         nodes[s], grids[r])
-        for G in sorted(set(grids[~direct].tolist())):
-            fft_rows = np.flatnonzero(~direct & (grids == G))
-            pos = np.full(R, -1)
-            pos[fft_rows] = np.arange(fft_rows.size)
-            sel = np.flatnonzero(pos[rows] >= 0)
-            at = pos[rows[sel]]
-            for start, v in _eval_chunks([fs[r] for r in fft_rows],
-                                         Grid(G, True)):
-                lo, hi = np.searchsorted(at, [start, start + len(v)])
-                s = sel[lo:hi]
-                mid[s] = np.abs(v[at[lo:hi] - start, nodes[s]])
-        hit = np.flatnonzero(cells)            # rows is sorted
-        heads = np.cumsum(cells[hit]) - cells[hit]
-        acc[hit] = np.maximum(acc[hit], np.maximum.reduceat(mid, heads))
+        chunk = np.cumsum(count[rows]) * _BLOCK // (_STACK_POINTS >> 6)
+        cuts = np.flatnonzero(np.diff(chunk)) + 1
+        mid = np.concatenate([
+            _eval_staggered(re, im, first[r], count[r], k, grids[r])
+            for r, k in zip(np.split(rows, cuts), np.split(nodes, cuts))])
+        np.maximum.at(acc, rows, mid)
         grids[active] *= 2
         done = active & (np.abs(acc - prev)
                          <= REFINE_REL_TOL * np.maximum(acc, 1e-300))
@@ -311,14 +284,12 @@ def _refine_stack(fs, p: float) -> list:
     Grid(2G) is Grid(G) plus Grid(G, staggered=True), since
     2pi(2j+1)/(2G) = 2pi(j+1/2)/G, so each doubling adds only the G new
     staggered nodes to a running max of |f| or a running sum of |f|^p.  At
-    finite p every node is evaluated: a polynomial that stops at grid G
-    costs G points in all.  At p = inf a node is evaluated only if it lies
-    in a cell of the previous grid where an interpolation bound on |f|^2
-    can still reach the running max (_refine_sup); the skipped nodes
-    cannot change that max, so the values, grid sizes and converged flags
-    are those of the every-node loop up to rounding.  Polynomials double
-    together (at finite p, those with the same start grid), and each value
-    is bit for bit the one the polynomial gets alone.
+    finite p every node is evaluated by FFT: a polynomial that stops at
+    grid G costs G points in all.  At p = inf only the start grid is an
+    FFT, and a later node is a direct sum, evaluated only in the live cells
+    of _refine_sup.  Polynomials double together (at finite p, those with
+    the same start grid), and each value is bit for bit the one the
+    polynomial gets alone.
     """
     out = [(0.0, 16, True)] * len(fs)
     live = [i for i, f in enumerate(fs) if not f.is_zero]
@@ -340,12 +311,12 @@ def sup_norm(f: TrigPoly):
     """(value, grid_size, converged): refined-grid maximum of |f|.
 
     The grid doubles from _start_grid(f.span) until one doubling raises the
-    maximum by at most REFINE_REL_TOL relative, or reaches GRID_CAP.  A
-    doubling evaluates only the new nodes in cells of the previous grid
-    whose interpolation bound on |f|^2 reaches the running maximum; the
-    others lie below it and cannot change the value, grid_size or
-    converged.  converged means only that the last doubling found no
-    higher node, not that the value is within REFINE_REL_TOL of sup |f|.
+    maximum by at most REFINE_REL_TOL relative, or reaches GRID_CAP.  The
+    start grid is one FFT; a doubling sums directly only the new nodes in
+    cells whose interpolation bound on |f|^2 reaches the running maximum,
+    as the others cannot change the value, grid_size or converged.
+    converged means only that the last doubling found no higher node, not
+    that the value is within REFINE_REL_TOL of sup |f|.
     """
     return _refine_stack([f], math.inf)[0]
 

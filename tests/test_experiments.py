@@ -178,6 +178,19 @@ def test_identity_suite_gate_fails_on_nan_residual():
     assert np.isnan(summary["per_identity"]["link"])
 
 
+def test_uniformity_gate_fails_on_nan_beta_zero_ratio():
+    # the built-in max drops a NaN in second position; the gate must not
+    params = tiny_config("truncation_uniformity").params
+    summarize = EXPERIMENTS["truncation_uniformity"].summarize
+    flat = [("ratio", 1.0, g, 0, 1.0) for g in range(-4, 5)]
+    rows = flat + [("beta_zero", 0.0, -2, 0, 1.0)]
+    assert summarize(params, rows)[1]
+    summary, passed = summarize(
+        params, rows + [("beta_zero", 0.0, 0, 0, float("nan"))])
+    assert not passed and not summary["beta_zero_passed"]
+    assert np.isnan(summary["beta_zero_max_ratio"])
+
+
 def test_bht_consistency_gate_fails_on_nan_error():
     rep = run_experiment(tiny_config("bht_consistency"))
     rows = list(rep.rows)
@@ -469,6 +482,27 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     code = main(["experiment", "run", "log_growth", "--config", str(path)])
     assert code == 1
     capsys.readouterr()
+    # a missing config, invalid YAML, a non-integer seed and an unwritable
+    # output path: an error line naming the problem, not a traceback
+    bad_yaml = tmp_path / "bad.yaml"
+    bad_yaml.write_text("experiment: [identity_suite\n")
+    bad_seed = tmp_path / "seed.yaml"
+    bad_seed.write_text(yaml.safe_dump(dict(cfg, seed="abc")))
+    half_seed = tmp_path / "half.yaml"
+    half_seed.write_text(yaml.safe_dump(dict(cfg, seed=1.5)))
+    missing_yaml = str(tmp_path / "missing.yaml")
+    unwritable = str(tmp_path / "nonexistent" / "x.json")
+    for argv, needle in (
+            (["experiment", "run", "--config", missing_yaml], missing_yaml),
+            (["experiment", "run", "--config", str(bad_yaml)], str(bad_yaml)),
+            (["experiment", "run", "--config", str(bad_seed)], "seed"),
+            (["experiment", "run", "--config", str(half_seed)], "seed"),
+            (["gen-symbol", "--alpha", "0.5", "--out", unwritable],
+             unwritable)):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
     # a config the validator rejects, not a traceback from the run
     for bad in ([[2, -3]], [[1]]):
         path.write_text(yaml.safe_dump(dict(cfg, kl_pairs=bad)))

@@ -225,6 +225,20 @@ def test_lebesgue_constant_values():
     with pytest.raises(ParameterError):
         lebesgue_constant(-1)
 
+    # independent oracle: the mean of |D_N| at the G staggered nodes
+    # pi (2j + 1) / G.  With G a multiple of 2N + 1 the roots of D_N are
+    # cell edges, so |D_N| is smooth on every cell and the midpoint error
+    # is a series in even powers of 1/G; one Richardson step on G and 2G
+    # removes its 1/G^2 term (about 4e-6 relative at G = 256 (2N + 1))
+    def midpoint_mean(N, G):
+        t = np.pi * (2 * np.arange(G) + 1) / G
+        return float(np.mean(np.abs(np.sin((N + 0.5) * t) / np.sin(t / 2))))
+
+    for N in (1, 2, 5, 16, 64, 256):
+        G = 256 * (2 * N + 1)
+        ref = (4 * midpoint_mean(N, 2 * G) - midpoint_mean(N, G)) / 3
+        assert abs(lebesgue_constant(N) - ref) <= 1e-10 * ref, N
+
 
 def test_lebesgue_constant_monotone():
     vals = [lebesgue_constant(N) for N in (1, 2, 4, 8, 16)]

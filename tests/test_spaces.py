@@ -376,14 +376,16 @@ def test_refinement_evaluates_final_grid_size_points(monkeypatch):
     # at finite p every grid value comes from eval_grids, one row per
     # stacked polynomial: a one-row call that ends at grid G evaluates G
     # points, and a stack evaluates the sum of its rows' final grids.  At
-    # p = inf only the nodes of live cells are evaluated, by FFT or by
-    # direct sums
+    # p = inf eval_grids evaluates the start grids only, and every later
+    # node is a direct sum at a live cell
     points = []
+    fft_points = []
     evaluate = spaces.eval_grids
     direct = spaces._eval_staggered
 
     def counting_eval_grids(fs, grid):
         points.append(len(fs) * grid.size)
+        fft_points.append(len(fs) * grid.size)
         return evaluate(fs, grid)
 
     def counting_eval_staggered(*args):
@@ -402,12 +404,19 @@ def test_refinement_evaluates_final_grid_size_points(monkeypatch):
             points.clear()
             assert hardy_norm(f, p).grid_size == sum(points)
         points.clear()
+        fft_points.clear()
         assert sup_norm(f)[1] >= sum(points)
+        assert sum(fft_points) == spaces._start_grid(f.span)
         points.clear()
         assert hardy_norm(f, math.inf).grid_size >= sum(points)
     points.clear()
     got = spaces._refine_stack(polys + blocks, 1.0)
     assert sum(G for _, G, _ in got) == sum(points)
+    points.clear()
+    fft_points.clear()
+    spaces._refine_stack(polys + blocks, math.inf)
+    assert sum(fft_points) == sum(spaces._start_grid(f.span)
+                                  for f in polys + blocks)
     points.clear()
     got = spaces._refine_stack(blocks, math.inf)
     assert 4 * sum(points) <= sum(G for _, G, _ in got)
@@ -454,7 +463,6 @@ def test_pruned_sup_evaluates_exactly_the_live_cells(monkeypatch):
         return direct(re, im, first, count, nodes, grids)
 
     monkeypatch.setattr(spaces, "_eval_staggered", recording_eval_staggered)
-    monkeypatch.setattr(spaces, "_DIRECT_COST", math.inf)
     blocks = [bj for s in range(12)
               for bj in lp_decompose(random_symbol(0.5, 10, [11, 71, s]))
               if not bj.is_zero]

@@ -29,7 +29,7 @@ from .errors import NonAnalyticError, ParameterError
 from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      multilinear_truncated_apply, truncated_apply,
                      column_truncation_apply, beta_zero_identity_check,
-                     beta_minus_one_identity_check, section_weights)
+                     beta_minus_one_identity_check)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
 from .spaces import (hardy_norms, modulated_norm_ratios, random_symbol,
@@ -357,14 +357,48 @@ def _validate_truncation_uniformity(p):
         raise ParameterError("beta grid must be nonempty")
 
 
-def _masked_ratio(H, spec, full, tol, v0):
-    """(||W * H|| / full.value, next warm start) for the weights W of the
-    linear `spec` on H's grid: W * H starts from `v0`, and its witness is
-    the next start only when its norm is positive."""
-    W = section_weights(spec, *H.shape)
-    if W.all():
+def _section_sweep(H, beta, offsets, buf):
+    """For each offset gamma, H masked by Pi_{beta,gamma} in the "include"
+    boundary (the only one these sweeps use), or None when the truncation
+    keeps every entry.
+
+    The masked section is written into `buf`, a writable array of H's
+    shape, and the same `buf` is yielded at every offset, so it must be
+    read before the next one.  The integer cutoffs of each offset are
+    computed as section_weights computes them, clipped to [0, rows]; when
+    none went down since the last masked offset, only the entries between
+    the old and the new cutoffs are zeroed, else `buf` is rebuilt from H.
+    """
+    rows, cols = H.shape
+    m = np.arange(rows, dtype=np.float64)[:, None]
+    t = beta * np.arange(cols, dtype=np.float64)
+    col = np.arange(cols)
+    prev = None
+    for gamma in offsets:
+        lo = np.clip(TruncationSpec.cutoffs(t + float(gamma))[0], 0, rows)
+        lo = lo.astype(np.intp)
+        if not lo.any():
+            yield None
+            continue
+        if prev is None or (lo < prev).any():
+            np.multiply(H, m >= lo, out=buf)
+        else:
+            # rows prev[j] .. lo[j] - 1 of every column j
+            step = lo - prev
+            end = np.cumsum(step)
+            buf[np.arange(end[-1]) + np.repeat(prev - end + step, step),
+                np.repeat(col, step)] = 0
+        prev = lo
+        yield buf
+
+
+def _section_ratio(A, full, tol, v0):
+    """(||A|| / full.value, next warm start) for a swept section A, or
+    (1.0, v0) for None: A starts from `v0`, and its witness is the next
+    start only when its norm is positive."""
+    if A is None:
         return 1.0, v0      # identical matrices; nothing to iterate
-    est = section_norm_2_2(W * H, tol=tol, v0=v0)
+    est = section_norm_2_2(A, tol=tol, v0=v0)
     return est.value / full.value, est.witness if est.value > 0 else v0
 
 
@@ -375,6 +409,7 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     alpha = float(p["alpha"])
     betas = [float(b) for b in p["beta_grid"]]
     gammas = list(range(int(p["gamma_min"]), int(p["gamma_max"]) + 1))
+    bz_gammas = [int(g) for g in p["beta_zero_gammas"]]
     norm_tol = float(p["norm_tol"])
     sweep_tol = float(p["sweep_tol"])
 
@@ -382,16 +417,16 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
         b = random_symbol(alpha, int(p["max_block"]), [config.seed, 31, s])
         H = matrix_section(b, None, S, S)
         full = section_norm_2_2(H, tol=norm_tol, seed=[config.seed, 37, s])
+        buf = np.empty_like(H)
         out = []
         for beta in betas:
             v = full.witness
-            for gamma in gammas:
-                ratio, v = _masked_ratio(H, TruncationSpec((beta,), gamma),
-                                         full, sweep_tol, v)
+            sweep = _section_sweep(H, beta, gammas, buf)
+            for gamma, A in zip(gammas, sweep):
+                ratio, v = _section_ratio(A, full, sweep_tol, v)
                 out.append(("ratio", beta, gamma, s, ratio))
-        for gamma in [int(g) for g in p["beta_zero_gammas"]]:
-            ratio, _ = _masked_ratio(H, TruncationSpec((0.0,), gamma), full,
-                                     norm_tol, full.witness)
+        for gamma, A in zip(bz_gammas, _section_sweep(H, 0.0, bz_gammas, buf)):
+            ratio, _ = _section_ratio(A, full, norm_tol, full.witness)
             out.append(("beta_zero", 0.0, gamma, s, ratio))
         return out
 
@@ -501,8 +536,9 @@ def log_growth_rows(config: ExperimentConfig) -> list:
     H = matrix_section(b, None, S, S)
     full = section_norm_2_2(H, tol=1e-9, seed=[config.seed, 53])
     v = full.witness
-    for N in range(0, S + 1, int(p["section_N_step"])):
-        ratio, v = _masked_ratio(H, TruncationSpec((-1.0,), N), full, 1e-9, v)
+    Ns = range(0, S + 1, int(p["section_N_step"]))
+    for N, A in zip(Ns, _section_sweep(H, -1.0, Ns, np.empty_like(H))):
+        ratio, v = _section_ratio(A, full, 1e-9, v)
         rows.append(("pi_minus1", N, ratio, 0.0))
     return rows
 

@@ -67,6 +67,29 @@ class Experiment:
     validate: Callable | None = None
 
 
+_KINDS = {int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer, np.floating), "a number"),
+          str: (str, "a string"),
+          list: ((list, tuple), "a list"),
+          dict: (dict, "a mapping")}
+
+
+def _check_type(key, value, default):
+    """Raise ParameterError unless `value` has the type of the config
+    default `default`: an int needs an integer, a float an int or a float;
+    list elements are checked against the default's first element, and
+    mapping values against its first value."""
+    kinds, what = _KINDS[type(default)]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ParameterError(f"config key {key!r} must be {what}, "
+                             f"got {value!r}")
+    if isinstance(default, dict):
+        value, default = list(value.values()), list(default.values())
+    if isinstance(default, list) and default:
+        for item in value:
+            _check_type(key, item, default[0])
+
+
 @dataclass
 class ExperimentConfig:
     """A fully-defaulted, validated experiment configuration."""
@@ -85,6 +108,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown config keys for {self.experiment}: "
                 f"{', '.join(sorted(unknown))}")
+        for key, value in self.params.items():
+            _check_type(key, value, spec.defaults[key])
         self.params = {**spec.defaults, **self.params}
         if not isinstance(self.seed, (int, np.integer)):
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
@@ -355,6 +380,11 @@ def _validate_truncation_uniformity(p):
                 f"0 and -1 (radius 0.1); got beta={b}")
     if not p["beta_grid"]:
         raise ParameterError("beta grid must be nonempty")
+    if p["seeds"] < 1 or p["gamma_min"] > p["gamma_max"]:
+        raise ParameterError(
+            f"the sweep needs seeds >= 1 and gamma_min <= gamma_max; got "
+            f"seeds={p['seeds']}, gamma_min={p['gamma_min']}, "
+            f"gamma_max={p['gamma_max']}")
 
 
 def _section_sweep(H, beta, offsets, buf):

@@ -12,8 +12,10 @@ from hankellab.bilinear import BHTParams, bht_mu_fourier
 from hankellab.cli import main
 from hankellab.errors import ParameterError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
-                                   ExperimentConfig, run_experiment)
+                                   ExperimentConfig, _section_sweep,
+                                   run_experiment)
 from hankellab.hankel import TruncationSpec, matrix_section, section_weights
+from hankellab.opnorm import section_norm_2_2
 from hankellab.reporting import write_rows_csv
 from hankellab.serialize import load_poly
 from hankellab.spaces import (hardy_norm, lipschitz_norm, random_symbol,
@@ -115,6 +117,35 @@ def test_bad_kl_pairs_rejected():
                 ExperimentConfig(name, params=params)
     with pytest.raises(ParameterError):
         ExperimentConfig("constant_stability", params={"bands": [[1, 1]]})
+
+
+def test_config_values_must_have_the_default_type():
+    for name, params in [
+        ("identity_suite", {"seeds": "abc"}),
+        ("identity_suite", {"seeds": True}),
+        ("lemma_lipschitz_sweep", {"N_grid": [8, "x"]}),
+        ("truncation_uniformity", {"section_size": 64.0}),
+        ("truncation_uniformity", {"beta_grid": 1.0}),
+        ("truncation_uniformity", {"spot_points": [[1.0, "a"]]}),
+        ("constant_stability", {"bands": {"A": [[1, 1.5]]}}),
+        ("bht_consistency", {"mu_policy": 1}),
+    ]:
+        with pytest.raises(ParameterError):
+            ExperimentConfig(name, params=params)
+    # a float key takes an int, element by element too
+    cfg = ExperimentConfig("truncation_uniformity",
+                           params={"alpha": 1, "beta_grid": [-2, 1]})
+    assert cfg.params["beta_grid"] == [-2, 1]
+
+
+def test_empty_uniformity_sweeps_rejected():
+    for params in ({"gamma_min": 3, "gamma_max": 1}, {"seeds": 0},
+                   {"seeds": -1}):
+        with pytest.raises(ParameterError):
+            ExperimentConfig("truncation_uniformity", params=params)
+    # one gamma is a sweep
+    ExperimentConfig("truncation_uniformity",
+                     params={"gamma_min": 2, "gamma_max": 2})
 
 
 def test_config_dict_round_trip():
@@ -222,6 +253,84 @@ def test_log_growth_tiny_rows():
     assert pim and max(v for _, v in pim) <= 1.0 + 1e-9
     # Pi_{-1,0} keeps every entry: the ratio is 1 exactly, not iterated
     assert pim[0] == (0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0,
+                                  2.0])
+def test_section_sweep_equals_masked_section(beta):
+    S = 64
+    H = matrix_section(random_symbol(0.005, 7, [2026, 31, 0]), None, S, S)
+    buf = np.empty_like(H)
+    for offsets in (list(range(-70, 71)),           # ascending
+                    list(range(70, -71, -1)),       # descending
+                    [-3, -3, 5, 5, 5, 2, 2, 90, -9, 7, 7],   # repeated
+                    list(range(0, S + 1, 32)),      # stride 32
+                    [-64, -32, -16, 0, 1, 4, 16, 32, 64]):
+        got = 0
+        for gamma, A in zip(offsets, _section_sweep(H, beta, offsets, buf)):
+            W = section_weights(TruncationSpec((beta,), gamma), S, S)
+            if W.all():
+                assert A is None, (offsets, gamma)
+            else:
+                assert A is buf and np.array_equal(A, W * H), (offsets, gamma)
+            got += 1
+        assert got == len(offsets)
+
+
+def _per_point_ratios(H, full, beta, offsets, tol, chain):
+    """The per-point loop the sweeps replaced: a fresh section_weights * H
+    at every offset, started from the last positive witness along a chain,
+    or from full.witness at every point."""
+    out, v = [], full.witness
+    for gamma in offsets:
+        W = section_weights(TruncationSpec((beta,), gamma), *H.shape)
+        if W.all():
+            out.append(1.0)
+            continue
+        est = section_norm_2_2(W * H, tol=tol, v0=v)
+        out.append(est.value / full.value)
+        if chain and est.value > 0:
+            v = est.witness
+    return out
+
+
+def test_sweep_rows_match_per_point_loop():
+    cfg = ExperimentConfig("truncation_uniformity", params=dict(
+        TINY["truncation_uniformity"], gamma_min=-12, gamma_max=12,
+        beta_zero_gammas=[4, -2, 0, 16, 2]))
+    p = cfg.params
+    S = p["section_size"]
+    gammas = list(range(p["gamma_min"], p["gamma_max"] + 1))
+    want = []
+    for s in range(p["seeds"]):
+        H = matrix_section(random_symbol(p["alpha"], p["max_block"],
+                                         [cfg.seed, 31, s]), None, S, S)
+        full = section_norm_2_2(H, tol=p["norm_tol"],
+                                seed=[cfg.seed, 37, s])
+        for beta in p["beta_grid"]:
+            ratios = _per_point_ratios(H, full, beta, gammas,
+                                       p["sweep_tol"], True)
+            want += [("ratio", beta, g, s, r) for g, r in zip(gammas, ratios)]
+        ratios = _per_point_ratios(H, full, 0.0, p["beta_zero_gammas"],
+                                   p["norm_tol"], False)
+        want += [("beta_zero", 0.0, g, s, r)
+                 for g, r in zip(p["beta_zero_gammas"], ratios)]
+    got = run_experiment(cfg).rows
+    assert sorted(map(repr, got)) == sorted(map(repr, want))
+
+    cfg = ExperimentConfig("log_growth", params=dict(
+        TINY["log_growth"], section_N_step=4))
+    p = cfg.params
+    S = p["section_size"]
+    H = matrix_section(random_symbol(p["section_symbol_alpha"],
+                                     p["section_symbol_max_block"],
+                                     [cfg.seed, 47]), None, S, S)
+    full = section_norm_2_2(H, tol=1e-9, seed=[cfg.seed, 53])
+    Ns = list(range(0, S + 1, p["section_N_step"]))
+    ratios = _per_point_ratios(H, full, -1.0, Ns, 1e-9, True)
+    got = [row for row in run_experiment(cfg).rows if row[0] == "pi_minus1"]
+    assert list(map(repr, got)) == [repr(("pi_minus1", N, r, 0.0))
+                                    for N, r in zip(Ns, ratios)]
 
 
 def _dense_ratio(H, spec):
@@ -520,6 +629,24 @@ def test_cli_errors_exit_one(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_cli_config_value_errors_exit_one(tmp_path, capsys):
+    # values of the wrong type and empty sweeps: an error line, exit 1
+    for name, bad in (("identity_suite", {"seeds": "abc"}),
+                      ("lemma_lipschitz_sweep", {"N_grid": [8, "x"]}),
+                      ("truncation_uniformity",
+                       {"gamma_min": 3, "gamma_max": 1}),
+                      ("truncation_uniformity", {"seeds": 0})):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(dict(TINY[name], experiment=name,
+                                            **bad)))
+        code = main(["experiment", "run", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override(tmp_path, capsys):

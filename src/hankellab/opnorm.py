@@ -298,10 +298,22 @@ def _sign_dirichlet_weights(M: int, top: int) -> np.ndarray:
     """w_v = tan(pi v/(2M+1)) / (pi v) for v = -top..top, w_0 = 1/(2M+1):
     the Fourier coefficients of sign(D_M), which is (-1)^k on
     (t_k, t_{k+1}), t_k = 2 pi k/(2M+1) (Fejer 1910; Zygmund,
-    Trigonometric Series I, ch. II)."""
+    Trigonometric Series I, ch. II).
+
+    Each tangent is taken at its smallest angle, so none is evaluated near
+    a pole: with K = 2M+1 and a = 2v reduced exactly into [-K, K),
+    tan(pi v/K) is sign(a) tan(pi |a|/(2K)) when 2|a| <= K, and
+    sign(a) cot(pi (K - |a|)/(2K)) otherwise; both angles are at most
+    pi/4."""
+    K = 2 * M + 1
     v = np.arange(1, top + 1)
-    w = np.tan(np.pi * v / (2 * M + 1)) / (np.pi * v)
-    return np.concatenate([w[::-1], [1.0 / (2 * M + 1)], w])
+    a = (2 * v + K) % (2 * K) - K
+    r = np.abs(a)
+    near = 2 * r <= K
+    t = np.tan(np.pi * np.where(near, r, K - r) / (2 * K))
+    np.divide(1.0, t, out=t, where=~near)
+    w = np.sign(a) * t / (np.pi * v)
+    return np.concatenate([w[::-1], [1.0 / K], w])
 
 
 def lebesgue_constant(N: int) -> float:

@@ -240,6 +240,18 @@ def test_lebesgue_constant_values():
         assert abs(lebesgue_constant(N) - ref) <= 1e-10 * ref, N
 
 
+def test_lebesgue_constant_against_40_digit_references():
+    # Fejer's sum in 60-digit arithmetic (mpmath); at N = 64 it agrees
+    # with a panel quadrature of (1/pi) int_0^pi |D_N| to all 40 digits.
+    # The largest tangents sit next to the pole at pi/2, where the weights
+    # take cotangents of small angles instead
+    for N, ref in ((64, "2.959039774806267630742025027340292506536"),
+                   (1024, "4.079770803324312697649137235960180910845"),
+                   (4096, "4.641466368404145638606497503616898769321")):
+        ref = float(ref)
+        assert abs(lebesgue_constant(N) - ref) <= 1e-15 * ref, N
+
+
 def test_lebesgue_constant_monotone():
     vals = [lebesgue_constant(N) for N in (1, 2, 4, 8, 16)]
     assert all(y > x for x, y in zip(vals, vals[1:]))

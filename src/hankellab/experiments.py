@@ -400,13 +400,13 @@ def _section_sweep(H, beta, offsets, buf):
     the old and the new cutoffs are zeroed, else `buf` is rebuilt from H.
     """
     rows, cols = H.shape
-    m = np.arange(rows, dtype=np.float64)[:, None]
-    t = beta * np.arange(cols, dtype=np.float64)
+    m = np.arange(rows)[:, None]
     col = np.arange(cols)
+    t = beta * col.astype(np.float64)
     prev = None
     for gamma in offsets:
-        lo = np.clip(TruncationSpec.cutoffs(t + float(gamma))[0], 0, rows)
-        lo = lo.astype(np.intp)
+        lo = TruncationSpec.cutoffs(t + float(gamma))[0]
+        lo = np.clip(lo, 0, rows).astype(np.intp)
         if not lo.any():
             yield None
             continue

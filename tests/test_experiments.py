@@ -136,6 +136,9 @@ def test_config_values_must_have_the_default_type():
     cfg = ExperimentConfig("truncation_uniformity",
                            params={"alpha": 1, "beta_grid": [-2, 1]})
     assert cfg.params["beta_grid"] == [-2, 1]
+    # every default passes its own check
+    for name in EXPERIMENT_NAMES:
+        ExperimentConfig(name, params=dict(EXPERIMENTS[name].defaults))
 
 
 def test_empty_uniformity_sweeps_rejected():

@@ -75,19 +75,26 @@ _KINDS = {int: ((int, np.integer), "an integer"),
 
 
 def _check_type(key, value, default):
-    """Raise ParameterError unless `value` has the type of the config
-    default `default`: an int needs an integer, a float an int or a float;
-    list elements are checked against the default's first element, and
-    mapping values against its first value."""
+    """Return `value` checked against the type of the config default
+    `default`, or raise ParameterError: an int needs an integer, a float an
+    int, a float or a string that `float` parses (YAML 1.1 reads `1e-6`,
+    with no dot, as a string); list elements are checked against the
+    default's first element, and mapping values against its first value."""
+    if isinstance(default, float) and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
     kinds, what = _KINDS[type(default)]
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ParameterError(f"config key {key!r} must be {what}, "
                              f"got {value!r}")
-    if isinstance(default, dict):
-        value, default = list(value.values()), list(default.values())
+    if isinstance(default, dict) and default:
+        first = next(iter(default.values()))
+        return {k: _check_type(key, v, first) for k, v in value.items()}
     if isinstance(default, list) and default:
-        for item in value:
-            _check_type(key, item, default[0])
+        return [_check_type(key, item, default[0]) for item in value]
+    return value
 
 
 @dataclass
@@ -108,9 +115,9 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown config keys for {self.experiment}: "
                 f"{', '.join(sorted(unknown))}")
-        for key, value in self.params.items():
-            _check_type(key, value, spec.defaults[key])
-        self.params = {**spec.defaults, **self.params}
+        self.params = {**spec.defaults,
+                       **{key: _check_type(key, value, spec.defaults[key])
+                          for key, value in self.params.items()}}
         if not isinstance(self.seed, (int, np.integer)):
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)

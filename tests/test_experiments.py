@@ -172,6 +172,20 @@ def test_config_from_yaml(tmp_path):
         ExperimentConfig.from_dict({"seed": 3})    # no experiment key
 
 
+def test_config_from_yaml_e_notation_floats(tmp_path):
+    # YAML 1.1 reads `1e-6` (no dot) as a string; float keys still take it
+    path = tmp_path / "cfg.yaml"
+    path.write_text("experiment: identity_suite\nresidual_tol: 1e-10\n"
+                    "nu_grid: [5e-1, 1]\n")
+    cfg = ExperimentConfig.from_yaml(path)
+    assert cfg.params["residual_tol"] == 1e-10
+    assert cfg.params["nu_grid"] == [0.5, 1]
+    for bad in ("residual_tol: abc\n", "nu_grid: [1e-1, x]\n"):
+        path.write_text("experiment: identity_suite\n" + bad)
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_yaml(path)
+
+
 # -- deterministic reruns and summary recomputation ------------------------------
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -650,6 +664,16 @@ def test_cli_config_value_errors_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # tolerances written in e-notation, as the defaults are, still run
+    path.write_text(yaml.safe_dump(dict(TINY["truncation_uniformity"],
+                                        experiment="truncation_uniformity"))
+                    + "sweep_tol: 1e-6\nnorm_tol: 1e-9\n")
+    code = main(["experiment", "run", "--config", str(path), "--quiet",
+                 "--out", str(tmp_path / "out")])
+    assert code in (0, 2)
+    assert "error:" not in capsys.readouterr().err
+    summary = (tmp_path / "out" / "truncation_uniformity_summary.json")
+    assert '"sweep_tol": 1e-06' in summary.read_text()
 
 
 def test_cli_seed_override(tmp_path, capsys):

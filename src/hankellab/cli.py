@@ -42,8 +42,14 @@ def _emit_poly(poly, out):
         sys.stdout.write("\n")
 
 
+def _seed(args):
+    if args.seed < 0:       # numpy takes no negative seed
+        raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_gen_symbol(args):
-    b = random_symbol(args.alpha, args.max_block, args.seed)
+    b = random_symbol(args.alpha, args.max_block, _seed(args))
     _emit_poly(b, args.out)
     if args.verbose:
         ln = lipschitz_norm(b, args.alpha)
@@ -107,7 +113,7 @@ def _cmd_opnorm(args):
         spec = TruncationSpec((args.beta,), args.gamma,
                               boundary=args.boundary)
     section = matrix_section(b, spec, args.rows, args.cols)
-    est = section_norm_2_2(section, tol=args.tol, seed=args.seed)
+    est = section_norm_2_2(section, tol=args.tol, seed=_seed(args))
     payload = est.to_json_dict()
     if not args.witness:
         payload.pop("witness", None)

@@ -1,7 +1,7 @@
 """Reproducible experiment drivers.
 
-Each experiment is a pure function of its configuration: the random stream
-for every grid point is derived from (config seed, point indices), rows are
+Each experiment is a pure function of its configuration: every random
+stream is a `_rng(config seed, tag, point indices)` generator, rows are
 emitted in fixed loop order, and the summary is a pure function of the rows
 (recomputed from them in the tests).  Reruns therefore produce byte-identical
 CSV output.
@@ -75,11 +75,11 @@ _KINDS = {int: ((int, np.integer), "an integer"),
 
 
 def _check_type(key, value, default):
-    """Return `value` checked against the type of the config default
-    `default`, or raise ParameterError: an int needs an integer, a float an
-    int, a float or a string that `float` parses (YAML 1.1 reads `1e-6`,
-    with no dot, as a string); list elements are checked against the
-    default's first element, and mapping values against its first value."""
+    """Return `value` converted to the type of the config default `default`,
+    or raise ParameterError: an int key takes an integer, a float key an
+    integer, a float or a string that `float` parses (YAML 1.1 reads `1e-6`,
+    with no dot, as a string); list elements are converted as the default's
+    first element, and mapping values as its first value."""
     if isinstance(default, float) and isinstance(value, str):
         try:
             return float(value)
@@ -94,12 +94,13 @@ def _check_type(key, value, default):
         return {k: _check_type(key, v, first) for k, v in value.items()}
     if isinstance(default, list) and default:
         return [_check_type(key, item, default[0]) for item in value]
-    return value
+    return type(default)(value)
 
 
 @dataclass
 class ExperimentConfig:
-    """A fully-defaulted, validated experiment configuration."""
+    """A fully-defaulted, validated experiment configuration; each value
+    has the type of its default, and `seed` is any integer."""
     experiment: str
     seed: int = 2026
     params: dict = field(default_factory=dict)
@@ -118,9 +119,7 @@ class ExperimentConfig:
         self.params = {**spec.defaults,
                        **{key: _check_type(key, value, spec.defaults[key])
                           for key, value in self.params.items()}}
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
-        self.seed = int(self.seed)
+        self.seed = _check_type("seed", self.seed, 0)
         if spec.validate is not None:
             spec.validate(self.params)
 
@@ -186,7 +185,8 @@ def _max_nan(*xs):
 
 
 def _rng(*parts):
-    """Deterministic per-point generator; parts may be negative ints."""
+    """The generator of one random stream of a run; each part is reduced
+    mod 2^32, so the config seed may be any integer."""
     return np.random.default_rng([int(p) % (1 << 32) for p in parts])
 
 
@@ -208,14 +208,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _validate_kl_pairs(*groups):
     for pairs in groups:
-        if not isinstance(pairs, (list, tuple)):
-            raise ParameterError(f"expected a list of (k, l) pairs, got "
-                                 f"{pairs!r}")
         for pair in pairs:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            if len(pair) != 2:
                 raise ParameterError(f"a (k, l) pair must be two integers, "
                                      f"got {pair!r}")
             BHTParams(*pair, 0)    # raises on bad pairs
+
+
+def _require_at_least(p, **bounds):
+    """Raise ParameterError unless each named key, or every entry of a list
+    key, is at least its bound."""
+    for key, bound in bounds.items():
+        entries = p[key] if isinstance(p[key], list) else [p[key]]
+        if any(v < bound for v in entries):
+            raise ParameterError(f"{key} must be at least {bound}, got "
+                                 f"{p[key]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,7 @@ def _validate_kl_pairs(*groups):
 # ---------------------------------------------------------------------------
 
 def _validate_identity_suite(p):
+    _require_at_least(p, max_degree=1)
     _validate_kl_pairs(p["kl_pairs"])
     if not any(k + l > 0 for k, l in p["kl_pairs"]):
         raise ParameterError("kl_pairs needs a pair with k + l > 0 for the "
@@ -234,16 +242,13 @@ def _validate_identity_suite(p):
 def identity_suite_rows(config: ExperimentConfig) -> list:
     p = config.params
     rows = []
-    kl = [tuple(map(int, pair)) for pair in p["kl_pairs"]]
+    kl = p["kl_pairs"]
     link_kl = [(k, l) for k, l in kl if k + l > 0 and l != 0]
-    nu_grid = [float(v) for v in p["nu_grid"]]
-    gamma_grid = [float(g) for g in p["gamma_grid"]]
-    maxdeg = int(p["max_degree"])
 
-    for s in range(int(p["seeds"])):
+    for s in range(p["seeds"]):
         rng = _rng(config.seed, 11, s)
-        deg_b = int(rng.integers(1, maxdeg + 1))
-        deg_f = int(rng.integers(1, maxdeg + 1))
+        deg_b = int(rng.integers(1, p["max_degree"] + 1))
+        deg_f = int(rng.integers(1, p["max_degree"] + 1))
         b = random_poly(rng, deg_b)
         f = random_poly(rng, deg_f)
 
@@ -261,8 +266,8 @@ def identity_suite_rows(config: ExperimentConfig) -> list:
         rows.append(("column", s, f"N={Nc}", coeff_distance(lhs, rhs)))
 
         arity = 2 if s % 2 == 0 else 3
-        nu = nu_grid[s % len(nu_grid)]
-        gamma = gamma_grid[s % len(gamma_grid)]
+        nu = p["nu_grid"][s % len(p["nu_grid"])]
+        gamma = p["gamma_grid"][s % len(p["gamma_grid"])]
         fs = [random_poly(rng, int(rng.integers(1, 11)))
               for _ in range(arity)]
         spec_multi = TruncationSpec((nu,) * arity, gamma)
@@ -292,7 +297,7 @@ def identity_suite_rows(config: ExperimentConfig) -> list:
 
 
 def summarize_identity_suite(params, rows):
-    tol = float(params["residual_tol"])
+    tol = params["residual_tol"]
     per = {}
     for identity, _, _, residual in rows:
         per[identity] = _max_nan(per.get(identity, 0.0), float(residual))
@@ -306,6 +311,11 @@ def summarize_identity_suite(params, rows):
 # bht_consistency
 # ---------------------------------------------------------------------------
 
+def _validate_bht_consistency(p):
+    _require_at_least(p, max_degree=4, cross_degree=0)
+    _validate_kl_pairs(p["kl_pairs"])
+
+
 def _rel_sup_error(values, reference):
     scale = max(float(np.abs(reference).max()), 1.0)
     return float(np.abs(values - reference).max()) / scale
@@ -313,23 +323,21 @@ def _rel_sup_error(values, reference):
 
 def bht_consistency_rows(config: ExperimentConfig) -> list:
     p = config.params
-    G = int(p["grid"])
-    maxdeg = int(p["max_degree"])
-    seeds = int(p["seeds"])
+    G = p["grid"]
     rows = []
     cases = []
-    for k, l in (tuple(map(int, pair)) for pair in p["kl_pairs"]):
+    for k, l in p["kl_pairs"]:
         cases.append(("plain_kl", k, l, 0))
         mus = range(-abs(l), abs(l) + 1) if p["mu_policy"] == "all" else (0,)
         for mu in mus:
             cases.append(("mu_form", k, l, mu))
 
     for variant, k, l, mu in cases:
-        for s in range(seeds):
+        for s in range(p["seeds"]):
             rng = _rng(config.seed, 23, k, l, mu,
                        0 if variant == "plain_kl" else 1, s)
-            deg_b = int(rng.integers(4, maxdeg + 1))
-            deg_f = int(rng.integers(4, maxdeg + 1))
+            deg_b = int(rng.integers(4, p["max_degree"] + 1))
+            deg_f = int(rng.integers(4, p["max_degree"] + 1))
             b = random_poly(rng, deg_b, min_freq=-deg_b)
             params = BHTParams(k, l, mu)
             if variant == "plain_kl":
@@ -344,11 +352,9 @@ def bht_consistency_rows(config: ExperimentConfig) -> list:
                          _rel_sup_error(quad, ref)))
 
     # fft vs direct cross-validation at a small grid
-    Gs = int(p["cross_grid"])
-    for idx, (k, l) in enumerate([tuple(map(int, pair))
-                                  for pair in p["kl_pairs"]][:2]):
+    Gs, deg = p["cross_grid"], p["cross_degree"]
+    for idx, (k, l) in enumerate(p["kl_pairs"][:2]):
         rng = _rng(config.seed, 29, idx)
-        deg = int(p["cross_degree"])
         b = random_poly(rng, deg, min_freq=-deg)
         f = random_poly(rng, deg)
         params = BHTParams(k, l, min(1, abs(l)))
@@ -361,8 +367,7 @@ def bht_consistency_rows(config: ExperimentConfig) -> list:
 
 
 def summarize_bht_consistency(params, rows):
-    rel_tol = float(params["rel_tol"])
-    cross_tol = float(params["cross_tol"])
+    rel_tol, cross_tol = params["rel_tol"], params["cross_tol"]
     per = {}
     for variant, *_rest, err in rows:
         per[variant] = _max_nan(per.get(variant, 0.0), float(err))
@@ -387,11 +392,10 @@ def _validate_truncation_uniformity(p):
                 f"0 and -1 (radius 0.1); got beta={b}")
     if not p["beta_grid"]:
         raise ParameterError("beta grid must be nonempty")
-    if p["seeds"] < 1 or p["gamma_min"] > p["gamma_max"]:
-        raise ParameterError(
-            f"the sweep needs seeds >= 1 and gamma_min <= gamma_max; got "
-            f"seeds={p['seeds']}, gamma_min={p['gamma_min']}, "
-            f"gamma_max={p['gamma_max']}")
+    _require_at_least(p, seeds=1)
+    if p["gamma_min"] > p["gamma_max"]:
+        raise ParameterError(f"the sweep needs gamma_min <= gamma_max; got "
+                             f"{p['gamma_min']} > {p['gamma_max']}")
 
 
 def _section_sweep(H, beta, offsets, buf):
@@ -441,26 +445,23 @@ def _section_ratio(A, full, tol, v0):
 
 def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     p = config.params
-    S = int(p["section_size"])
-    seeds = int(p["seeds"])
-    alpha = float(p["alpha"])
-    betas = [float(b) for b in p["beta_grid"]]
-    gammas = list(range(int(p["gamma_min"]), int(p["gamma_max"]) + 1))
-    bz_gammas = [int(g) for g in p["beta_zero_gammas"]]
-    norm_tol = float(p["norm_tol"])
-    sweep_tol = float(p["sweep_tol"])
+    S = p["section_size"]
+    betas = p["beta_grid"]
+    gammas = list(range(p["gamma_min"], p["gamma_max"] + 1))
+    bz_gammas = p["beta_zero_gammas"]
+    norm_tol = p["norm_tol"]
 
     def per_seed(s):
-        b = random_symbol(alpha, int(p["max_block"]), [config.seed, 31, s])
+        b = random_symbol(p["alpha"], p["max_block"], _rng(config.seed, 31, s))
         H = matrix_section(b, None, S, S)
-        full = section_norm_2_2(H, tol=norm_tol, seed=[config.seed, 37, s])
+        full = section_norm_2_2(H, tol=norm_tol, seed=_rng(config.seed, 37, s))
         buf = np.empty_like(H)
         out = []
         for beta in betas:
             v = full.witness
             sweep = _section_sweep(H, beta, gammas, buf)
             for gamma, A in zip(gammas, sweep):
-                ratio, v = _section_ratio(A, full, sweep_tol, v)
+                ratio, v = _section_ratio(A, full, p["sweep_tol"], v)
                 out.append(("ratio", beta, gamma, s, ratio))
         for gamma, A in zip(bz_gammas, _section_sweep(H, 0.0, bz_gammas, buf)):
             ratio, _ = _section_ratio(A, full, norm_tol, full.witness)
@@ -468,7 +469,7 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
         return out
 
     # interleave rows in (beta, gamma, seed) order for stable output
-    collected = [r for s in range(seeds) for r in per_seed(s)]
+    collected = [r for s in range(p["seeds"]) for r in per_seed(s)]
     order = {("ratio", b): i for i, b in enumerate(betas)}
     rows = sorted(
         collected,
@@ -476,36 +477,34 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
                        order.get((r[0], r[1]), 0), r[2], r[3]))
 
     # lower-bound spot checks for the (2/3, 2) pairing, alpha = 1 symbols
-    for idx, (beta, gamma) in enumerate(
-            [(float(x), float(g)) for x, g in p["spot_points"]]):
-        b = random_symbol(float(p["spot_alpha"]), 5, [config.seed, 41, idx])
+    for idx, (beta, gamma) in enumerate(p["spot_points"]):
+        b = random_symbol(p["spot_alpha"], 5, _rng(config.seed, 41, idx))
         spec = TruncationSpec((beta,), gamma)
         for kind, op in (("spot_truncated",
                           lambda f: truncated_apply(b, spec, f)),
                          ("spot_full", lambda f: hankel_apply(b, f))):
-            est = ratio_search_qp(op, 2.0 / 3.0, 2.0, int(p["spot_degree"]),
-                                  samples=int(p["spot_samples"]),
-                                  seed=[config.seed, 43, idx])
+            est = ratio_search_qp(op, 2.0 / 3.0, 2.0, p["spot_degree"],
+                                  samples=p["spot_samples"],
+                                  seed=_rng(config.seed, 43, idx))
             rows.append((kind, beta, gamma, idx, est.value))
     return rows
 
 
 def summarize_truncation_uniformity(params, rows):
-    slope_tol = float(params["slope_tol"])
-    bz_tol = float(params["beta_zero_tol"])
+    slope_tol, bz_tol = params["slope_tol"], params["beta_zero_tol"]
     per_beta = {}
     data = {}
     for kind, beta, gamma, seed, value in rows:
         if kind == "ratio":
-            data.setdefault(float(beta), []).append(
-                (math.log1p(abs(float(gamma))), float(value)))
+            data.setdefault(beta, []).append(
+                (math.log1p(abs(gamma)), float(value)))
     all_pass = bool(data)
     for beta, pts in sorted(data.items()):
         xs = np.array([x for x, _ in pts])
         ys = np.array([y for _, y in pts])
         slope, intercept, r2 = reporting.linear_fit(xs, ys)
         resid = ys - slope * xs - intercept
-        sxx = float(np.sum((xs - xs.mean()) ** 2))
+        sxx = float(np.sum((xs - xs.mean()) ** 2)) or math.nan
         dof = max(len(xs) - 2, 1)
         stderr = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
         ok = abs(slope) <= slope_tol
@@ -556,24 +555,23 @@ def truncation_uniformity_charts(base, rows):
 
 def log_growth_rows(config: ExperimentConfig) -> list:
     p = config.params
-    alpha = float(p["alpha"])
     rows = []
-    for n in range(1, int(p["extremal_n_max"]) + 1):
+    for n in range(1, p["extremal_n_max"] + 1):
         N = 4 * (1 << n)
-        rows.append(("extremal", N, sn_extremal_lower_bound(N, alpha), 0.0))
-    for j in [int(v) for v in p["lebesgue_powers"]]:
+        rows.append(("extremal", N, sn_extremal_lower_bound(N, p["alpha"]),
+                     0.0))
+    for j in p["lebesgue_powers"]:
         N = 1 << j
         L = lebesgue_constant(N)
         rows.append(("lebesgue", N, L, L / math.log(N)))
     # exploratory: Pi_{-1,N} section-norm decay for one fixed symbol
-    S = int(p["section_size"])
-    b = random_symbol(float(p["section_symbol_alpha"]),
-                      int(p["section_symbol_max_block"]),
-                      [config.seed, 47])
+    S = p["section_size"]
+    b = random_symbol(p["section_symbol_alpha"],
+                      p["section_symbol_max_block"], _rng(config.seed, 47))
     H = matrix_section(b, None, S, S)
-    full = section_norm_2_2(H, tol=1e-9, seed=[config.seed, 53])
+    full = section_norm_2_2(H, tol=1e-9, seed=_rng(config.seed, 53))
     v = full.witness
-    Ns = range(0, S + 1, int(p["section_N_step"]))
+    Ns = range(0, S + 1, p["section_N_step"])
     for N, A in zip(Ns, _section_sweep(H, -1.0, Ns, np.empty_like(H))):
         ratio, v = _section_ratio(A, full, 1e-9, v)
         rows.append(("pi_minus1", N, ratio, 0.0))
@@ -581,9 +579,7 @@ def log_growth_rows(config: ExperimentConfig) -> list:
 
 
 def summarize_log_growth(params, rows):
-    r2_min = float(params["r2_min"])
-    rel_tol = float(params["ratio_rel_tol"])
-    l1_tol = float(params["l1_tol"])
+    r2_min, rel_tol = params["r2_min"], params["ratio_rel_tol"]
     ext = [(n, v) for kind, n, v, _ in rows if kind == "extremal"]
     leb = [(n, v, e) for kind, n, v, e in rows if kind == "lebesgue"]
     out = {}
@@ -603,7 +599,7 @@ def summarize_log_growth(params, rows):
         ok_b = rel_err <= rel_tol
         l1_closed = 1.0 / 3.0 + 2.0 * math.sqrt(3.0) / math.pi
         l1_err = abs(lebesgue_constant(1) - l1_closed)
-        ok_c = l1_err <= l1_tol
+        ok_c = l1_err <= params["l1_tol"]
         out["lebesgue"] = {
             "fitted_slope": slope,
             "target": LEBESGUE_TARGET,
@@ -683,32 +679,26 @@ def _row_hardy_norms(coeffs, lo, p):
 
 
 def _validate_constant_stability(p):
-    if not isinstance(p["bands"], dict):
-        raise ParameterError(f"bands must map band names to (k, l) pairs, "
-                             f"got {p['bands']!r}")
+    _require_at_least(p, f_degree=0)
     _validate_kl_pairs(*p["bands"].values(), p["exploratory"])
 
 
 def constant_stability_rows(config: ExperimentConfig) -> list:
     p = config.params
-    alpha, q, pp = float(p["alpha"]), float(p["q"]), float(p["p"])
-    seeds = range(int(p["seeds"]))
+    seeds = range(p["seeds"])
 
     # random_symbols scales every symbol to Lipschitz norm 1, so the ratio
     # ||H_{k,l,mu}(b, f)||_{H^p} / (||b||_{Lambda_alpha} ||f||_{H^q})
     # divides by ||f||_{H^q} alone
-    symbols = random_symbols(alpha, int(p["symbol_max_block"]),
-                             [[config.seed, 61, s] for s in seeds])
-    fs = [random_poly(_rng(config.seed, 67, s), int(p["f_degree"]))
+    symbols = random_symbols(p["alpha"], p["symbol_max_block"],
+                             [_rng(config.seed, 61, s) for s in seeds])
+    fs = [random_poly(_rng(config.seed, 67, s), p["f_degree"])
           for s in seeds]
-    dens = [h.value for h in hardy_norms(fs, q)]
+    dens = [h.value for h in hardy_norms(fs, p["q"])]
 
-    cases = []
-    for band, pairs in sorted(p["bands"].items()):
-        for k, l in pairs:
-            cases.append((band, int(k), int(l)))
-    for k, l in p["exploratory"]:
-        cases.append(("exploratory", int(k), int(l)))
+    cases = [(band, k, l) for band, pairs in sorted(p["bands"].items())
+             for k, l in pairs]
+    cases += [("exploratory", k, l) for k, l in p["exploratory"]]
 
     rows = []
     for band, k, l in cases:
@@ -717,7 +707,7 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
         for start in range(0, len(fs), _FAMILY_BLOCK):
             block = slice(start, start + _FAMILY_BLOCK)
             coeffs, lo = bht_mu_family(symbols[block], fs[block], k, l)
-            nums = _row_hardy_norms(coeffs, lo, pp)
+            nums = _row_hardy_norms(coeffs, lo, p["p"])
             for j in range(len(mus)):
                 for num, den in zip(nums[j], dens[block]):
                     ratios[j].append(num / den)
@@ -728,7 +718,7 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
 
 
 def summarize_constant_stability(params, rows):
-    spread_tol = float(params["spread_tol"])
+    spread_tol = params["spread_tol"]
     sups = {}
     for band, k, l, mu, _s, ratio in rows:
         key = (band, k, l)
@@ -773,25 +763,21 @@ def summarize_constant_stability(params, rows):
 def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
     p = config.params
     rows = []
-    alphas = [float(a) for a in p["alphas"]]
-    n_grid = [int(n) for n in p["N_grid"]]
-    factors = [float(x) for x in p["M_factors"]]
-    seeds = int(p["seeds"])
-
-    pairs = [(N, int(round(fac * N))) for N in n_grid for fac in factors]
-    for alpha in alphas:
-        symbols = random_symbols(alpha, int(p["symbol_max_block"]),
-                                 [[config.seed, 71, s] for s in range(seeds)])
+    pairs = [(N, round(fac * N)) for N in p["N_grid"]
+             for fac in p["M_factors"]]
+    for alpha in p["alphas"]:
+        symbols = random_symbols(alpha, p["symbol_max_block"],
+                                 [_rng(config.seed, 71, s)
+                                  for s in range(p["seeds"])])
         ratios = [modulated_norm_ratios(b, alpha, pairs) for b in symbols]
         for i, (N, M) in enumerate(pairs):
-            for s in range(seeds):
+            for s in range(p["seeds"]):
                 rows.append((alpha, N, M, s, ratios[s][i]))
     return rows
 
 
 def summarize_lemma_lipschitz_sweep(params, rows):
-    ratio_tol = float(params["ratio_tol"])
-    trend_tol = float(params["trend_tol"])
+    ratio_tol, trend_tol = params["ratio_tol"], params["trend_tol"]
     sup = 0.0
     argmax = None
     per_n = {}
@@ -800,11 +786,10 @@ def summarize_lemma_lipschitz_sweep(params, rows):
         ratio = float(ratio)
         if not (ratio <= sup or math.isnan(sup)):
             sup = ratio
-            argmax = {"alpha": alpha, "N": int(N), "M": int(M),
-                      "seed": int(seed)}
-        per_n[int(N)] = _max_nan(per_n.get(int(N), 0.0), ratio)
-        xs_n.append(math.log(int(N)))
-        xs_m.append(math.log1p(abs(int(M))))
+            argmax = {"alpha": alpha, "N": N, "M": M, "seed": seed}
+        per_n[N] = _max_nan(per_n.get(N, 0.0), ratio)
+        xs_n.append(math.log(N))
+        xs_m.append(math.log1p(abs(M)))
         ys.append(ratio)
     slope_n = slope_m = 0.0
     if len(ys) >= 2:
@@ -866,7 +851,7 @@ EXPERIMENTS = {
         columns=("variant", "k", "l", "mu", "seed", "grid", "rel_error"),
         run=bht_consistency_rows,
         summarize=summarize_bht_consistency,
-        validate=lambda p: _validate_kl_pairs(p["kl_pairs"]),
+        validate=_validate_bht_consistency,
     ),
     "truncation_uniformity": Experiment(
         defaults={
@@ -910,6 +895,8 @@ EXPERIMENTS = {
         run=log_growth_rows,
         summarize=summarize_log_growth,
         charts=log_growth_charts,
+        validate=lambda p: _require_at_least(p, lebesgue_powers=1,
+                                             section_N_step=1),
     ),
     "constant_stability": Experiment(
         defaults={
@@ -946,6 +933,7 @@ EXPERIMENTS = {
         run=lemma_lipschitz_sweep_rows,
         summarize=summarize_lemma_lipschitz_sweep,
         charts=lemma_lipschitz_sweep_charts,
+        validate=lambda p: _require_at_least(p, N_grid=1),
     ),
 }
 

@@ -15,7 +15,7 @@ __all__ = ["linear_fit", "write_rows_csv", "write_summary_json",
 def linear_fit(x, y):
     """Least-squares line y = slope*x + intercept; returns
     (slope, intercept, r_squared).  r_squared is 1.0 for a perfect fit and
-    0.0 when y is constant."""
+    0.0 when y is constant; all three are NaN when every x is the same."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
@@ -23,7 +23,7 @@ def linear_fit(x, y):
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     if sxx == 0.0:
-        raise ValueError("x values are all identical")
+        return np.nan, np.nan, np.nan
     slope = float(np.sum((x - xm) * (y - ym))) / sxx
     intercept = ym - slope * xm
     ss_res = float(np.sum((y - slope * x - intercept) ** 2))

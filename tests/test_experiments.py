@@ -10,7 +10,7 @@ import yaml
 
 from hankellab.bilinear import BHTParams, bht_mu_fourier
 from hankellab.cli import main
-from hankellab.errors import ParameterError
+from hankellab.errors import ParameterError, SectionSizeError
 from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
                                    ExperimentConfig, _section_sweep,
                                    run_experiment)
@@ -132,13 +132,89 @@ def test_config_values_must_have_the_default_type():
     ]:
         with pytest.raises(ParameterError):
             ExperimentConfig(name, params=params)
-    # a float key takes an int, element by element too
-    cfg = ExperimentConfig("truncation_uniformity",
-                           params={"alpha": 1, "beta_grid": [-2, 1]})
-    assert cfg.params["beta_grid"] == [-2, 1]
+    # a float key takes an int, element by element too, and stores a float;
+    # an int key stores an int, and so does the seed
+    cfg = ExperimentConfig("truncation_uniformity", seed=np.int64(-3),
+                           params={"alpha": 1, "beta_grid": [-2, 1],
+                                   "seeds": np.int64(2),
+                                   "spot_points": [(1, np.float32(8))]})
+    assert cfg.params["beta_grid"] == [-2.0, 1.0]
+    assert type(cfg.seed) is int and cfg.seed == -3
+    for key, kind in (("alpha", float), ("seeds", int)):
+        assert type(cfg.params[key]) is kind
+    assert all(type(v) is float for v in cfg.params["beta_grid"])
+    assert [[type(v) for v in pt] for pt in cfg.params["spot_points"]] \
+        == [[float, float]]
+    with pytest.raises(ParameterError, match="seed"):
+        ExperimentConfig("identity_suite", seed=True)
     # every default passes its own check
     for name in EXPERIMENT_NAMES:
         ExperimentConfig(name, params=dict(EXPERIMENTS[name].defaults))
+
+
+# values the type check passes but the experiment cannot use, the faulty
+# key first; the cases marked * are shrunk counterexamples of the config
+# property test in test_properties.py
+OUT_OF_RANGE = [
+    ("log_growth", {"section_N_step": 0}),                      # *
+    ("log_growth", {"lebesgue_powers": [0, 5]}),                # *
+    ("log_growth", {"lebesgue_powers": [4, -1]}),
+    ("lemma_lipschitz_sweep", {"N_grid": [0, 16]}),             # *
+    ("lemma_lipschitz_sweep", {"N_grid": [0, 16],
+                               "M_factors": [-1.0, 1.0]}),      # *
+    ("identity_suite", {"max_degree": 0, "residual_tol": -1.0}),  # *
+    ("bht_consistency", {"max_degree": 0, "rel_tol": -1.0}),    # *
+    ("bht_consistency", {"max_degree": 3}),
+    ("bht_consistency", {"cross_degree": -1}),
+    ("constant_stability", {"f_degree": -1}),
+]
+
+
+@pytest.mark.parametrize("name,bad", OUT_OF_RANGE)
+def test_out_of_range_values_are_config_errors(name, bad, tmp_path, capsys):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        ExperimentConfig(name, params=dict(TINY[name], **bad))
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY[name], experiment=name, **bad)))
+    assert main(["experiment", "run", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,params,seed,error", [
+    # shrunk counterexamples of the config property test: two runs, and a
+    # library error, which the CLI prints as an error line
+    ("constant_stability", {"seeds": 1}, -1, None),
+    ("log_growth", {"extremal_n_max": 0, "alpha": -1.0}, -1, None),
+    ("truncation_uniformity", {"section_size": 0}, -1, SectionSizeError),
+])
+def test_property_counterexamples(name, params, seed, error):
+    config = ExperimentConfig(name, seed=seed, params=dict(TINY[name],
+                                                           **params))
+    if error is None:
+        assert run_experiment(config).rows == run_experiment(config).rows
+    else:
+        with pytest.raises(error):
+            run_experiment(config)
+
+
+@pytest.mark.parametrize("name,params,slope", [
+    # one gamma, one |M| and one N: the trend lines are undetermined
+    ("truncation_uniformity", {"gamma_min": 2, "gamma_max": 2},
+     lambda s: s["per_beta"]["-2.0"]["slope"]),
+    ("lemma_lipschitz_sweep", {"M_factors": [0.0]},
+     lambda s: s["trend_slope_ln_M"]),
+    ("lemma_lipschitz_sweep", {"N_grid": [16, 16]},
+     lambda s: s["trend_slope_ln_N"]),
+    ("log_growth", {"lebesgue_powers": [4, 4]},
+     lambda s: s["lebesgue"]["fitted_slope"]),
+])
+def test_undetermined_trend_is_nan(name, params, slope):
+    # a NaN slope fails its gate, if it has one, rather than ending the run
+    rep = run_experiment(ExperimentConfig(name, params=dict(TINY[name],
+                                                            **params)))
+    assert np.isnan(slope(rep.summary))
+    assert name == "log_growth" or not rep.passed
 
 
 def test_empty_uniformity_sweeps_rejected():
@@ -197,6 +273,54 @@ def test_rerun_determinism_and_summary_recompute(name):
     assert all(len(row) == len(spec.columns) for row in r1.rows)
     summary, passed = spec.summarize(tiny_config(name).params, r1.rows)
     assert summary == r1.summary and passed == r1.passed
+
+
+def _integral_floats_as_ints(value):
+    """A config value with every integral float written as an int."""
+    if isinstance(value, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_floats_as_ints(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+# float keys set to integral values, so each experiment has some to write
+# as ints
+INTEGRAL_FLOATS = {
+    "identity_suite": {"nu_grid": [1.0, -2.0], "gamma_grid": [0.0, 3.0]},
+    "bht_consistency": {"rel_tol": 1.0},
+    "truncation_uniformity": {"alpha": 1.0, "spot_points": [[1.0, 8.0]],
+                              "spot_degree": 4, "spot_samples": 4},
+    "log_growth": {"alpha": 1.0, "section_symbol_alpha": 1.0},
+    "constant_stability": {"alpha": 1.0, "q": 2.0, "p": 1.0},
+    "lemma_lipschitz_sweep": {"alphas": [1.0], "M_factors": [0.0, 4.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_integers_for_float_keys_give_identical_reports(name, tmp_path):
+    params = dict(TINY[name], **INTEGRAL_FLOATS[name])
+    as_ints = _integral_floats_as_ints(params)
+    assert repr(as_ints) != repr(params)
+    for label, p in (("float", params), ("int", as_ints)):
+        report = run_experiment(ExperimentConfig(name, params=p))
+        report.wall_clock = 0.0
+        report.write(tmp_path / label)
+    for suffix in ("_rows.csv", "_summary.json"):
+        files = [(tmp_path / label / (name + suffix)).read_bytes()
+                 for label in ("float", "int")]
+        assert files[0] == files[1], suffix
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_negative_seed_runs_every_experiment(name):
+    # run seeds are reduced mod 2^32, so -1 draws what 2^32 - 1 draws
+    rows = [run_experiment(tiny_config(name, seed=seed)).rows
+            for seed in (-1, -1, (1 << 32) - 1)]
+    assert rows[0] and rows[0] == rows[1]
+    assert list(map(repr, rows[0])) == list(map(repr, rows[2]))
 
 
 def test_identity_suite_tiny_passes():
@@ -608,8 +732,9 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     code = main(["experiment", "run", "log_growth", "--config", str(path)])
     assert code == 1
     capsys.readouterr()
-    # a missing config, invalid YAML, a non-integer seed and an unwritable
-    # output path: an error line naming the problem, not a traceback
+    # a missing config, invalid YAML, a non-integer seed, an unwritable
+    # output path and a negative seed for numpy: an error line naming the
+    # problem, not a traceback
     bad_yaml = tmp_path / "bad.yaml"
     bad_yaml.write_text("experiment: [identity_suite\n")
     bad_seed = tmp_path / "seed.yaml"
@@ -624,7 +749,9 @@ def test_cli_errors_exit_one(tmp_path, capsys):
             (["experiment", "run", "--config", str(bad_seed)], "seed"),
             (["experiment", "run", "--config", str(half_seed)], "seed"),
             (["gen-symbol", "--alpha", "0.5", "--out", unwritable],
-             unwritable)):
+             unwritable),
+            (["gen-symbol", "--alpha", "0.5", "--seed", "-1"], "--seed"),
+            (["opnorm", "--symbol", sym, "--seed", "-1"], "--seed")):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err

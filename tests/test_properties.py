@@ -1,18 +1,23 @@
 """Property tests for the TrigPoly canonical form, its exact ring laws on
 small-integer coefficients, the one-pass difference and coefficient
-distance, the truncation boundary at exact rational thresholds, and the
-serialize round-trip.  They need hypothesis and are skipped without it; each
-shrunk counterexample is kept as a fixed regression test in the test module
-of its layer."""
+distance, the truncation boundary at exact rational thresholds, the
+serialize round-trip, and the experiment config layer.  They need
+hypothesis and are skipped without it; each shrunk counterexample is kept
+as a fixed regression test in the test module of its layer."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from hankellab.errors import HankelLabError, ParameterError
+from hankellab.experiments import (EXPERIMENT_NAMES, EXPERIMENTS,
+                                   ExperimentConfig, run_experiment)
 from hankellab.hankel import TruncationSpec
 from hankellab.serialize import poly_from_triples, poly_to_triples
 from hankellab.trigpoly import PRUNE_TOL, TrigPoly, coeff_distance, multiply
+from test_experiments import TINY
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -104,3 +109,46 @@ def test_weights_at_exact_rational_boundaries(k, l, sign_l, n, m):
                                   boundary=boundary)
             t = spec.beta[0] * np.array([float(n)]) + spec.gamma
             assert spec.weights(np.array([float(m)]), t)[0] == want
+
+
+def _leaves(value, path=()):
+    """(path, type) of every int and float inside a config value."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    elif type(value) in (int, float):
+        yield path, type(value)
+
+
+def _put(params, path, value):
+    for key in path[:-1]:
+        params = params[key]
+    params[path[-1]] = value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+@hypothesis.settings(settings, max_examples=40)
+@given(data=st.data())
+def test_config_values_give_a_run_or_a_config_error(name, data):
+    # one int and one float of the tiny config replaced by small values,
+    # any small seed: ExperimentConfig rejects the config, or the run ends
+    # in a report or a library error, never in another exception
+    params = copy.deepcopy({**EXPERIMENTS[name].defaults, **TINY[name]})
+    leaves = list(_leaves(params))
+    for kind, values in ((int, st.integers(-2, 4)),
+                         (float, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))):
+        path = data.draw(st.sampled_from([p for p, k in leaves if k is kind]))
+        _put(params, path, data.draw(values))
+    seed = data.draw(st.integers(-3, 3))
+    try:
+        config = ExperimentConfig(name, seed=seed, params=params)
+    except ParameterError:
+        return
+    try:
+        run_experiment(config)
+    except HankelLabError:
+        pass

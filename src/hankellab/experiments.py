@@ -94,7 +94,11 @@ def _check_type(key, value, default):
         return {k: _check_type(key, v, first) for k, v in value.items()}
     if isinstance(default, list) and default:
         return [_check_type(key, item, default[0]) for item in value]
-    return type(default)(value)
+    try:
+        return type(default)(value)
+    except OverflowError:
+        raise ParameterError(
+            f"config key {key!r} is too large for a float") from None
 
 
 @dataclass

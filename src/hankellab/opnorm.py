@@ -1,13 +1,13 @@
 """Operator-norm estimation: finite sections, ratio search, model constants.
 
-section_norm_2_2 runs Golub-Kahan-Lanczos bidiagonalization with a seeded
-or warm start and stops on a Ritz-residual estimate of the relative error;
-its value is a certified lower bound.  It is the workhorse for the
-truncation-uniformity sweeps.  ratio_search_qp produces lower bounds for
-q -> p operator norms by sampling structured inputs and running a short
-coordinate ascent.  lebesgue_constant and sn_extremal_lower_bound
-provide the two classical log N growth quantities, both from one closed
-form for the Fourier coefficients of sign(D_N).
+section_norm_2_2 runs Lanczos on A*A over one basis from a seeded or warm
+start; its tridiagonal is B*B for Golub-Kahan's bidiagonal B, so it stops on
+Golub-Kahan's Ritz-residual error estimate, and its value is a certified
+lower bound.  ratio_search_qp produces lower bounds for q -> p operator
+norms by sampling structured inputs and running a short coordinate ascent.
+lebesgue_constant and sn_extremal_lower_bound provide the two classical
+log N growth quantities, both from one closed form for the Fourier
+coefficients of sign(D_N).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .spaces import hardy_norm, lipschitz_norm
 from .trigpoly import TrigPoly, analytic_partial_sum, multiply
 
 ASCENT_ROUNDS = 3
-# Golub-Kahan-Lanczos: Ritz extraction cadence, breakdown threshold relative
-# to the largest bidiagonal entry, the norm drop that triggers a second
-# Gram-Schmidt pass, and the initial row capacity of the bases
+# Lanczos on A*A: Ritz extraction cadence, breakdown threshold relative to
+# the largest entry of the tridiagonal T, the norm drop that triggers a
+# second Gram-Schmidt pass, and the initial row capacity of the basis
 RITZ_EVERY = 2
 BREAKDOWN_RTOL = 1e-13
 REORTH_DROP = 0.3
@@ -122,21 +122,23 @@ def _store(basis, k, row):
 
 def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
                      seed=0, v0=None) -> NormEstimate:
-    """Largest singular value of a matrix section by Golub-Kahan-Lanczos
-    bidiagonalization with full reorthogonalization (Golub & Kahan 1965).
+    """Largest singular value of a matrix section by Lanczos on A*A with
+    full reorthogonalization, the one-basis form of Golub-Kahan-Lanczos
+    bidiagonalization (Golub & Kahan 1965; Simon & Zha 2000).
 
-    Step k costs one product with A and one with A* (applied as
-    conj(conj(u) @ A), reading A in place) and extends orthonormal bases
-    with A v_k = beta_{k-1} u_{k-1} + alpha_k u_k and
-    A* u_k = alpha_k v_k + beta_k v_{k+1}.  Every RITZ_EVERY steps the top
-    singular triplet (sigma, y, q) of the upper bidiagonal B (diagonal
-    alpha, superdiagonal beta) gives the Ritz vector x = sum q_j v_j with
-    residual r = beta_k |y_k|, and the loop stops once the relative error
-    estimate min(r / sigma, r^2 / (sigma * gap)) is at most `tol`, gap
-    being sigma minus the second Ritz value (Parlett, The Symmetric
-    Eigenvalue Problem).  A vanishing alpha or beta (below BREAKDOWN_RTOL
-    times the largest entry of B) or a full basis means the Krylov space
-    is invariant: the value is exact and the estimate 0.
+    Step k reads A twice in place (A v_k, then conj(conj(A v_k) @ A)) and
+    makes beta_k v_{k+1} = A*A v_k - alpha_k v_k - beta_{k-1} v_{k-1},
+    alpha_k = ||A v_k||^2, orthogonal to v_<=k in one Gram-Schmidt pass.
+    The tridiagonal T (diagonal alpha, off-diagonal beta) is B*B for
+    Golub-Kahan's bidiagonal B.  Every RITZ_EVERY steps its top eigenpair
+    (sigma^2, y) gives the Ritz vector x = sum y_j v_j and Golub-Kahan's
+    residual r = ||A*A x - sigma^2 x|| / sigma = beta_k |y_k| / sigma.  The
+    loop stops once the relative error estimate
+    min(r / sigma, r^2 / (sigma * gap)) is at most `tol`, gap being sigma
+    minus the second Ritz value (Parlett, The Symmetric Eigenvalue
+    Problem).  A vanishing beta (below BREAKDOWN_RTOL times the largest
+    entry of T), n basis vectors, or k = m (A*A has rank at most m) means
+    the Krylov space is invariant: the value is exact, the estimate 0.
 
     The value is ||A x|| for the unit Ritz vector x, computed with one more
     product, so it is a lower bound up to rounding.  `v0` warm-starts the
@@ -156,54 +158,47 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
         return NormEstimate(0.0, "golub_kahan", 0, 0.0,
                             np.zeros(n, dtype=np.complex128), True)
     V = np.empty((min(BASIS_ROWS, n), n), dtype=np.complex128)
-    U = np.empty((min(BASIS_ROWS, m), m), dtype=np.complex128)
     V[0] = _start_vector(n, seed, v0)
     alpha, beta = [], []
     floor = 0.0
     for k in range(max_iter):
-        # alpha_k u_k = A v_k - beta_{k-1} u_{k-1}, made orthogonal to u_<k
-        a = 0.0
-        if k < m:
-            w = A @ V[k]
+        Av = A @ V[k]
+        a = float(np.linalg.norm(Av)) ** 2
+        alpha.append(a)
+        floor = max(floor, BREAKDOWN_RTOL * a)
+        b = 0.0
+        if k < m and k + 1 < n:
+            w = np.conj(np.conj(Av) @ A) - a * V[k]
             if k:
-                w, a = _orthogonalize(w - beta[-1] * U[k - 1], U[:k])
-            else:
-                a = float(np.linalg.norm(w))
-        exact = a <= floor
-        alpha.append(0.0 if exact else a)
+                w -= beta[-1] * V[k - 1]
+            w, b = _orthogonalize(w, V[:k + 1])
+        exact = b <= floor
+        beta.append(b)
         if not exact:
-            floor = max(floor, BREAKDOWN_RTOL * a)
-            U = _store(U, k, w / a)
-            # beta_k v_{k+1} = A* u_k - alpha_k v_k, made orthogonal to v_<=k
-            b = 0.0
-            if k + 1 < n:
-                w, b = _orthogonalize(np.conj(np.conj(U[k]) @ A) - a * V[k],
-                                      V[:k + 1])
-            exact = b <= floor
-            beta.append(b)
-            if not exact:
-                floor = max(floor, BREAKDOWN_RTOL * b)
-                V = _store(V, k + 1, w / b)
+            floor = max(floor, BREAKDOWN_RTOL * b)
+            V = _store(V, k + 1, w / b)
         last = exact or k + 1 == max_iter
         if not (last or (k + 1) % RITZ_EVERY == 0):
             continue
-        B = np.diag(alpha) + np.diag(beta[:k], 1)
-        Y, s, Qh = np.linalg.svd(B)
+        # eigh reads the lower triangle of T
+        theta, Y = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:k], -1))
+        s = np.sqrt(np.maximum(theta[::-1], 0.0))
         rel = 0.0
         if not exact:
-            sigma, r = float(s[0]), beta[k] * abs(float(Y[k, 0]))
+            sigma = float(s[0])
+            r = b * abs(float(Y[k, -1])) / sigma
             rel = r / sigma
             if k and sigma > s[1]:
                 rel = min(rel, r * r / (sigma * (sigma - float(s[1]))))
         if last or rel <= tol:
             break
-    x = Qh[0] @ V[:k + 1]
+    x = Y[:, -1] @ V[:k + 1]
     x /= np.linalg.norm(x)
     value = float(np.linalg.norm(A @ x))
     converged = rel <= tol
     if not converged:
         warnings.warn(
-            f"Golub-Kahan-Lanczos did not meet tol={tol} after {max_iter} "
+            f"Lanczos on A*A did not meet tol={tol} after {max_iter} "
             f"steps (last error estimate {rel:.3e})", RuntimeWarning,
             stacklevel=2)
     return NormEstimate(value, "golub_kahan", k + 1, rel, x, converged)

@@ -132,6 +132,13 @@ def test_config_values_must_have_the_default_type():
     ]:
         with pytest.raises(ParameterError):
             ExperimentConfig(name, params=params)
+    # an integer too large for a float key, alone or in a list: a config
+    # error naming the key, not an OverflowError
+    for name, key, value in (("identity_suite", "residual_tol", 10 ** 400),
+                             ("identity_suite", "nu_grid", [0.5, 10 ** 400]),
+                             ("log_growth", "alpha", 10 ** 400)):
+        with pytest.raises(ParameterError, match=key):
+            ExperimentConfig(name, params={key: value})
     # a float key takes an int, element by element too, and stores a float;
     # an int key stores an int, and so does the seed
     cfg = ExperimentConfig("truncation_uniformity", seed=np.int64(-3),
@@ -776,8 +783,10 @@ def test_cli_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_config_value_errors_exit_one(tmp_path, capsys):
-    # values of the wrong type and empty sweeps: an error line, exit 1
+    # values of the wrong type or too large for a float, and empty sweeps:
+    # an error line, exit 1
     for name, bad in (("identity_suite", {"seeds": "abc"}),
+                      ("identity_suite", {"residual_tol": 10 ** 400}),
                       ("lemma_lipschitz_sweep", {"N_grid": [8, "x"]}),
                       ("truncation_uniformity",
                        {"gamma_min": 3, "gamma_max": 1}),

@@ -1,10 +1,10 @@
 """Reproducible experiment drivers.
 
 Each experiment is a pure function of its configuration: every random
-stream is a `_rng(config seed, tag, point indices)` generator, rows are
-emitted in fixed loop order, and the summary is a pure function of the rows
-(recomputed from them in the tests).  Reruns therefore produce byte-identical
-CSV output.
+stream is named by a `[config seed, tag, point indices]` list that
+`random_stream` reduces mod 2^32, rows are emitted in fixed loop order,
+and the summary is a pure function of the rows (recomputed from them in
+the tests).  Reruns therefore produce byte-identical CSV output.
 
 Every experiment is declared once, as an `Experiment` record in the
 `EXPERIMENTS` registry at the end of this module.
@@ -35,7 +35,8 @@ from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
 from .spaces import (hardy_norms, modulated_norm_ratios, random_symbol,
                      random_symbols)
 from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, coeff_distance, eval_grid,
-                       flip, multiply, random_poly, tail_projection)
+                       flip, multiply, random_poly, random_stream,
+                       tail_projection)
 
 __all__ = [
     "Experiment",
@@ -78,11 +79,13 @@ def _check_type(key, value, default):
     """Return `value` converted to the type of the config default `default`,
     or raise ParameterError: an int key takes an integer, a float key an
     integer, a float or a string that `float` parses (YAML 1.1 reads `1e-6`,
-    with no dot, as a string); list elements are converted as the default's
-    first element, and mapping values as its first value."""
+    with no dot, as a string), but not NaN, which no gate compares true
+    with; list elements are converted as the default's first element, and
+    must have its length when it is a list (a (k, l) pair, a spot point),
+    and mapping values as its first value."""
     if isinstance(default, float) and isinstance(value, str):
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             pass
     kinds, what = _KINDS[type(default)]
@@ -93,12 +96,20 @@ def _check_type(key, value, default):
         first = next(iter(default.values()))
         return {k: _check_type(key, v, first) for k, v in value.items()}
     if isinstance(default, list) and default:
-        return [_check_type(key, item, default[0]) for item in value]
+        items = [_check_type(key, item, default[0]) for item in value]
+        if isinstance(default[0], list) and \
+                any(len(item) != len(default[0]) for item in items):
+            raise ParameterError(f"config key {key!r} needs entries of "
+                                 f"length {len(default[0])}, got {value!r}")
+        return items
     try:
-        return type(default)(value)
+        value = type(default)(value)
     except OverflowError:
         raise ParameterError(
             f"config key {key!r} is too large for a float") from None
+    if value != value:
+        raise ParameterError(f"config key {key!r} must not be NaN")
+    return value
 
 
 @dataclass
@@ -188,12 +199,6 @@ def _max_nan(*xs):
     return math.nan if any(x != x for x in xs) else max(xs)
 
 
-def _rng(*parts):
-    """The generator of one random stream of a run; each part is reduced
-    mod 2^32, so the config seed may be any integer."""
-    return np.random.default_rng([int(p) % (1 << 32) for p in parts])
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     spec = EXPERIMENTS[config.experiment]
     t0 = time.perf_counter()
@@ -213,9 +218,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _validate_kl_pairs(*groups):
     for pairs in groups:
         for pair in pairs:
-            if len(pair) != 2:
-                raise ParameterError(f"a (k, l) pair must be two integers, "
-                                     f"got {pair!r}")
             BHTParams(*pair, 0)    # raises on bad pairs
 
 
@@ -250,7 +252,7 @@ def identity_suite_rows(config: ExperimentConfig) -> list:
     link_kl = [(k, l) for k, l in kl if k + l > 0 and l != 0]
 
     for s in range(p["seeds"]):
-        rng = _rng(config.seed, 11, s)
+        rng = random_stream([config.seed, 11, s])
         deg_b = int(rng.integers(1, p["max_degree"] + 1))
         deg_f = int(rng.integers(1, p["max_degree"] + 1))
         b = random_poly(rng, deg_b)
@@ -338,8 +340,8 @@ def bht_consistency_rows(config: ExperimentConfig) -> list:
 
     for variant, k, l, mu in cases:
         for s in range(p["seeds"]):
-            rng = _rng(config.seed, 23, k, l, mu,
-                       0 if variant == "plain_kl" else 1, s)
+            rng = random_stream([config.seed, 23, k, l, mu,
+                                 0 if variant == "plain_kl" else 1, s])
             deg_b = int(rng.integers(4, p["max_degree"] + 1))
             deg_f = int(rng.integers(4, p["max_degree"] + 1))
             b = random_poly(rng, deg_b, min_freq=-deg_b)
@@ -358,7 +360,7 @@ def bht_consistency_rows(config: ExperimentConfig) -> list:
     # fft vs direct cross-validation at a small grid
     Gs, deg = p["cross_grid"], p["cross_degree"]
     for idx, (k, l) in enumerate(p["kl_pairs"][:2]):
-        rng = _rng(config.seed, 29, idx)
+        rng = random_stream([config.seed, 29, idx])
         b = random_poly(rng, deg, min_freq=-deg)
         f = random_poly(rng, deg)
         params = BHTParams(k, l, min(1, abs(l)))
@@ -456,9 +458,9 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
     norm_tol = p["norm_tol"]
 
     def per_seed(s):
-        b = random_symbol(p["alpha"], p["max_block"], _rng(config.seed, 31, s))
+        b = random_symbol(p["alpha"], p["max_block"], [config.seed, 31, s])
         H = matrix_section(b, None, S, S)
-        full = section_norm_2_2(H, tol=norm_tol, seed=_rng(config.seed, 37, s))
+        full = section_norm_2_2(H, tol=norm_tol, seed=[config.seed, 37, s])
         buf = np.empty_like(H)
         out = []
         for beta in betas:
@@ -482,14 +484,14 @@ def truncation_uniformity_rows(config: ExperimentConfig) -> list:
 
     # lower-bound spot checks for the (2/3, 2) pairing, alpha = 1 symbols
     for idx, (beta, gamma) in enumerate(p["spot_points"]):
-        b = random_symbol(p["spot_alpha"], 5, _rng(config.seed, 41, idx))
+        b = random_symbol(p["spot_alpha"], 5, [config.seed, 41, idx])
         spec = TruncationSpec((beta,), gamma)
         for kind, op in (("spot_truncated",
                           lambda f: truncated_apply(b, spec, f)),
                          ("spot_full", lambda f: hankel_apply(b, f))):
             est = ratio_search_qp(op, 2.0 / 3.0, 2.0, p["spot_degree"],
                                   samples=p["spot_samples"],
-                                  seed=_rng(config.seed, 43, idx))
+                                  seed=[config.seed, 43, idx])
             rows.append((kind, beta, gamma, idx, est.value))
     return rows
 
@@ -571,9 +573,9 @@ def log_growth_rows(config: ExperimentConfig) -> list:
     # exploratory: Pi_{-1,N} section-norm decay for one fixed symbol
     S = p["section_size"]
     b = random_symbol(p["section_symbol_alpha"],
-                      p["section_symbol_max_block"], _rng(config.seed, 47))
+                      p["section_symbol_max_block"], [config.seed, 47])
     H = matrix_section(b, None, S, S)
-    full = section_norm_2_2(H, tol=1e-9, seed=_rng(config.seed, 53))
+    full = section_norm_2_2(H, tol=1e-9, seed=[config.seed, 53])
     v = full.witness
     Ns = range(0, S + 1, p["section_N_step"])
     for N, A in zip(Ns, _section_sweep(H, -1.0, Ns, np.empty_like(H))):
@@ -695,8 +697,8 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
     # ||H_{k,l,mu}(b, f)||_{H^p} / (||b||_{Lambda_alpha} ||f||_{H^q})
     # divides by ||f||_{H^q} alone
     symbols = random_symbols(p["alpha"], p["symbol_max_block"],
-                             [_rng(config.seed, 61, s) for s in seeds])
-    fs = [random_poly(_rng(config.seed, 67, s), p["f_degree"])
+                             [[config.seed, 61, s] for s in seeds])
+    fs = [random_poly(random_stream([config.seed, 67, s]), p["f_degree"])
           for s in seeds]
     dens = [h.value for h in hardy_norms(fs, p["q"])]
 
@@ -771,7 +773,7 @@ def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
              for fac in p["M_factors"]]
     for alpha in p["alphas"]:
         symbols = random_symbols(alpha, p["symbol_max_block"],
-                                 [_rng(config.seed, 71, s)
+                                 [[config.seed, 71, s]
                                   for s in range(p["seeds"])])
         ratios = [modulated_norm_ratios(b, alpha, pairs) for b in symbols]
         for i, (N, M) in enumerate(pairs):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .serialize import poly_to_triples
 from .spaces import hardy_norm, lipschitz_norm
-from .trigpoly import TrigPoly, analytic_partial_sum, multiply
+from .trigpoly import TrigPoly, analytic_partial_sum, multiply, random_stream
 
 ASCENT_ROUNDS = 3
 # Lanczos on A*A: Ritz extraction cadence, breakdown threshold relative to
@@ -92,7 +92,7 @@ def _start_vector(n, seed, v0):
         nv = np.linalg.norm(v)
         if v.shape == (n,) and nv > 0:
             return v / nv
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
@@ -144,9 +144,9 @@ def section_norm_2_2(section, tol: float = 1e-12, max_iter: int = 20000,
     product, so it is a lower bound up to rounding.  `v0` warm-starts the
     iteration when it has the right length and a nonzero norm (sweeps whose
     neighbouring sections share their top singular vector); otherwise the
-    start is a complex Gaussian vector seeded by `seed`.  Missing `tol`
-    after max_iter steps is reported through converged=False and a
-    warning, with the last estimate recorded.
+    start is a complex Gaussian vector from `random_stream(seed)` (any
+    integer or integers).  Missing `tol` after max_iter steps is reported
+    through converged=False and a warning, with the last estimate recorded.
     """
     A = np.asarray(section, dtype=np.complex128)
     if A.ndim != 2:
@@ -236,8 +236,8 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
                     seed=0) -> NormEstimate:
     """Lower bound for the H^q -> H^p norm of `op` over inputs of bounded
     degree: hardy_norm(op(f), p) / hardy_norm(f, q) maximized over structured
-    samples, then improved by ASCENT_ROUNDS rounds of coordinate ascent on
-    the best candidate.
+    samples from `random_stream(seed)` (any integer or integers), then
+    improved by ASCENT_ROUNDS rounds of coordinate ascent on the best one.
 
     The value is a lower bound up to the hardy_norm refinement error.
     converged is True only if every hardy_norm the search divided reported
@@ -246,7 +246,7 @@ def ratio_search_qp(op, q: float, p: float, degree: int, samples: int = 64,
     """
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     evals = 0
     converged = True
 

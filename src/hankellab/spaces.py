@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonAnalyticError, ParameterError, UndefinedRatioError
 from .trigpoly import (TrigPoly, Grid, eval_grid, eval_grids, lp_decompose,
-                       multiply, tail_projection)
+                       multiply, random_stream, tail_projection)
 
 GRID_CAP = 1 << 20
 REFINE_REL_TOL = 1e-8
@@ -405,7 +405,7 @@ def random_symbols(alpha: float, max_block: int, seeds) -> list:
         raise ParameterError("max_block must be nonnegative")
     consts, blocks = [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = random_stream(seed)
         consts.append(TrigPoly.constant(np.exp(2j * np.pi * rng.random())))
         for j in range(1, max_block + 1):
             lo = 1 if j == 1 else 1 << j
@@ -431,7 +431,7 @@ def random_symbol(alpha: float, max_block: int, seed) -> TrigPoly:
     range [2^j, 2^{j+1}) ([1, 4) for j = 1), rescaled so that
     ||b_j||_inf = 2^{-j alpha}; block 0 is a unimodular constant.  The sum
     is then divided by its own Lipschitz norm, so lipschitz_norm(b, alpha)
-    is 1 up to rounding.  Deterministic for a fixed seed.
+    is 1 up to rounding.  Drawn from `random_stream(seed)`: any integer(s).
     """
     return random_symbols(alpha, max_block, [seed])[0]
 

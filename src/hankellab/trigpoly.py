@@ -42,6 +42,7 @@ __all__ = [
     "lp_decompose",
     "top_block_index",
     "coeff_distance",
+    "random_stream",
     "random_poly",
 ]
 
@@ -463,6 +464,15 @@ def coeff_distance(f: TrigPoly, g: TrigPoly) -> float:
     hi = max(f.max_freq, g.max_freq)
     d = float(np.abs(f.window(lo, hi) - g.window(lo, hi)).max())
     return 0.0 if d <= PRUNE_TOL else d
+
+
+def random_stream(seed) -> np.random.Generator:
+    """`seed` if it is a Generator, else numpy's stream for its integers,
+    each reduced mod 2^32 as a Python int (an int64 and uint64 mix would
+    become floats), so s and [s] agree for 0 <= s < 2^32.  Floats raise."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.ravel(np.array(seed, object)) % (1 << 32))
 
 
 def random_poly(rng, degree: int, min_freq: int = 0) -> TrigPoly:

@@ -20,7 +20,8 @@ from hankellab.reporting import write_rows_csv
 from hankellab.serialize import load_poly
 from hankellab.spaces import (hardy_norm, lipschitz_norm, random_symbol,
                               reduce_symbol)
-from hankellab.trigpoly import TrigPoly, flip, multiply, random_poly
+from hankellab.trigpoly import (TrigPoly, flip, multiply, random_poly,
+                                random_stream)
 
 TINY = {
     "identity_suite": {
@@ -127,6 +128,10 @@ def test_config_values_must_have_the_default_type():
         ("truncation_uniformity", {"section_size": 64.0}),
         ("truncation_uniformity", {"beta_grid": 1.0}),
         ("truncation_uniformity", {"spot_points": [[1.0, "a"]]}),
+        # an entry of a list of points or pairs has the default's length
+        ("truncation_uniformity", {"spot_points": [[1.0]]}),
+        ("truncation_uniformity", {"spot_points": [[1.0, 8.0, 3.0]]}),
+        ("truncation_uniformity", {"spot_points": [[]]}),
         ("constant_stability", {"bands": {"A": [[1, 1.5]]}}),
         ("bht_consistency", {"mu_policy": 1}),
     ]:
@@ -139,6 +144,20 @@ def test_config_values_must_have_the_default_type():
                              ("log_growth", "alpha", 10 ** 400)):
         with pytest.raises(ParameterError, match=key):
             ExperimentConfig(name, params={key: value})
+    # NaN, given as a float or as a string, alone or in a list, is a config
+    # error naming the key: no gate compares true with it
+    for name, key, value in (
+            ("truncation_uniformity", "sweep_tol", "nan"),
+            ("identity_suite", "residual_tol", float("nan")),
+            ("identity_suite", "nu_grid", [0.5, np.nan]),
+            ("truncation_uniformity", "spot_points", [[1.0, "nan"]]),
+            ("constant_stability", "q", np.float32("nan"))):
+        with pytest.raises(ParameterError, match=key):
+            ExperimentConfig(name, params={key: value})
+    # infinities stay: p = inf is the H^inf norm
+    cfg = ExperimentConfig("constant_stability",
+                           params={"p": "inf", "q": float("-inf")})
+    assert cfg.params["p"] == np.inf and cfg.params["q"] == -np.inf
     # a float key takes an int, element by element too, and stores a float;
     # an int key stores an int, and so does the seed
     cfg = ExperimentConfig("truncation_uniformity", seed=np.int64(-3),
@@ -526,22 +545,25 @@ def test_constant_stability_tiny_structure():
                                           "C:k=-2,l=1"}
 
 
+@pytest.mark.parametrize("seed", [2026, -1])
 @pytest.mark.parametrize("p", [2.0, 1.0])
-def test_constant_stability_rows_match_per_call_loop(p, monkeypatch):
+def test_constant_stability_rows_match_per_call_loop(p, seed, monkeypatch):
     # reference: one bht_mu_fourier call per (k, l, mu, seed); p = 1 takes
-    # the grid path of hardy_norm, and blocks of two pairs split the corpus
+    # the grid path of hardy_norm, and blocks of two pairs split the corpus.
+    # The corpus is redrawn from raw [seed, tag, s] lists, as the
+    # benchmark's row checks draw it, so at seed -1 the library must reduce
+    # them as the runner does
     monkeypatch.setattr("hankellab.experiments._FAMILY_BLOCK", 2)
     params = dict(TINY["constant_stability"], seeds=5, p=p,
                   exploratory=[[-9, 8]])
-    cfg = ExperimentConfig("constant_stability", seed=2026, params=params)
+    cfg = ExperimentConfig("constant_stability", seed=seed, params=params)
     rows = run_experiment(cfg).rows
     d = dict(EXPERIMENTS["constant_stability"].defaults, **params)
     corpus = []
     for s in range(d["seeds"]):
         b = random_symbol(d["alpha"], d["symbol_max_block"],
                           [cfg.seed, 61, s])
-        f = random_poly(np.random.default_rng([cfg.seed, 67, s]),
-                        d["f_degree"])
+        f = random_poly(random_stream([cfg.seed, 67, s]), d["f_degree"])
         corpus.append((b, f, hardy_norm(f, d["q"]).value))
     cases = [(band, k, l) for band, pairs in sorted(d["bands"].items())
              for k, l in pairs]
@@ -685,6 +707,22 @@ def test_cli_opnorm(tmp_path):
     assert isinstance(payload["witness"], list)
 
 
+def test_cli_seed_is_any_integer(tmp_path):
+    # gen-symbol and opnorm reduce --seed mod 2^32, as experiment run does:
+    # -1 names the stream of 2^32 - 1
+    outputs = {}
+    for seed in ("-1", "4294967295"):
+        sym = tmp_path / f"b{seed}.json"
+        norm = tmp_path / f"norm{seed}.json"
+        assert main(["gen-symbol", "--alpha", "0.5", "--max-block", "3",
+                     "--seed", seed, "--out", str(sym)]) == 0
+        assert main(["opnorm", "--symbol", str(sym), "--rows", "8",
+                     "--cols", "8", "--seed", seed, "--witness",
+                     "--out", str(norm)]) == 0
+        outputs[seed] = (sym.read_bytes(), norm.read_bytes())
+    assert outputs["-1"] == outputs["4294967295"]
+
+
 def test_cli_experiment_run_pass_and_fail(tmp_path, capsys):
     cfg = dict(TINY["identity_suite"], experiment="identity_suite")
     path = tmp_path / "ok.yaml"
@@ -739,9 +777,8 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     code = main(["experiment", "run", "log_growth", "--config", str(path)])
     assert code == 1
     capsys.readouterr()
-    # a missing config, invalid YAML, a non-integer seed, an unwritable
-    # output path and a negative seed for numpy: an error line naming the
-    # problem, not a traceback
+    # a missing config, invalid YAML, a non-integer seed and an unwritable
+    # output path: an error line naming the problem, not a traceback
     bad_yaml = tmp_path / "bad.yaml"
     bad_yaml.write_text("experiment: [identity_suite\n")
     bad_seed = tmp_path / "seed.yaml"
@@ -756,9 +793,7 @@ def test_cli_errors_exit_one(tmp_path, capsys):
             (["experiment", "run", "--config", str(bad_seed)], "seed"),
             (["experiment", "run", "--config", str(half_seed)], "seed"),
             (["gen-symbol", "--alpha", "0.5", "--out", unwritable],
-             unwritable),
-            (["gen-symbol", "--alpha", "0.5", "--seed", "-1"], "--seed"),
-            (["opnorm", "--symbol", sym, "--seed", "-1"], "--seed")):
+             unwritable)):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
@@ -783,10 +818,13 @@ def test_cli_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_config_value_errors_exit_one(tmp_path, capsys):
-    # values of the wrong type or too large for a float, and empty sweeps:
-    # an error line, exit 1
+    # values of the wrong type, too large for a float or NaN (YAML .nan),
+    # points of the wrong length, and empty sweeps: an error line, exit 1
     for name, bad in (("identity_suite", {"seeds": "abc"}),
                       ("identity_suite", {"residual_tol": 10 ** 400}),
+                      ("identity_suite", {"residual_tol": float("nan")}),
+                      ("truncation_uniformity", {"sweep_tol": float("nan")}),
+                      ("truncation_uniformity", {"spot_points": [[1.0]]}),
                       ("lemma_lipschitz_sweep", {"N_grid": [8, "x"]}),
                       ("truncation_uniformity",
                        {"gamma_min": 3, "gamma_max": 1}),

@@ -10,8 +10,9 @@ from hankellab.trigpoly import (Grid, TrigPoly, analytic_part,
                                 analytic_partial_sum, coeff_distance,
                                 eval_grid, eval_grids, flip, lp_block,
                                 lp_decompose, lp_window_weight, multiply,
-                                partial_sum, random_poly, stretch,
-                                tail_projection, top_block_index, translate)
+                                partial_sum, random_poly, random_stream,
+                                stretch, tail_projection, top_block_index,
+                                translate)
 
 
 # -- construction and canonical form ----------------------------------------
@@ -269,3 +270,32 @@ def test_linear_ops_commute_with_translate():
                lambda h: lp_block(h, 3)]:
         assert coeff_distance(op(translate(f, y)),
                               translate(op(f), y)) <= 1e-12
+
+
+# -- random streams ----------------------------------------------------------
+
+def _draws(rng):
+    return rng.integers(0, 1 << 62, 8).tolist()
+
+
+def test_random_stream_reduces_every_integer_mod_2_32():
+    # a seed in [0, 2^32) keeps numpy's own stream, alone or in a list
+    for s in (0, 7, 2026, (1 << 32) - 1):
+        ref = _draws(np.random.default_rng(s))
+        assert _draws(random_stream(s)) == ref
+        assert _draws(random_stream([s])) == ref
+        assert _draws(random_stream(np.int64(s))) == ref
+    assert _draws(random_stream(-1)) == _draws(random_stream((1 << 32) - 1))
+    assert _draws(random_stream((1 << 32) + 3)) == _draws(random_stream(3))
+    # entries of every size and sign, mixed: each is reduced on its own
+    ref = _draws(np.random.default_rng([3, 41, 0]))
+    for seed in ([(1 << 64) + 3, 41, 0], [3 - (1 << 32), 41, 0],
+                 np.array([3, 41, 0])):
+        assert _draws(random_stream(seed)) == ref
+    assert _draws(random_stream([1 << 63, 1])) \
+        == _draws(np.random.default_rng([0, 1]))
+    rng = np.random.default_rng(5)
+    assert random_stream(rng) is rng
+    for bad in (1.5, 7.0, [7.0, 1], np.float64(2.0)):
+        with pytest.raises(TypeError):
+            random_stream(bad)

@@ -118,12 +118,21 @@ def _bht_coeffs(bs, fs, k: int, l: int, mus, scale: int, base: bool):
     whatever mu is; base subtracts the pairing of Lp with scale*q, which
     does not involve mu.  The pairs are zero-padded to common (p, q) extents
     and share one output window of width W, pair i owning the slots
-    i*W .. i*W + W - 1, so a single np.add.at per mu accumulates all of
-    them, each coefficient in the raveled (p, q) order of its own pair.
+    i*W .. i*W + W - 1, so one np.add.at accumulates all of them, each
+    coefficient in the raveled (p, q) order of its own pair.
     A padded product is an exact zero, and adding a zero to a slot that
     starts at +0.0 never changes its bits.  The first and the base pairing
     are each pruned at PRUNE_TOL before they are summed, as in
     TrigPoly + TrigPoly, so every row is the one-pair result bit for bit.
+
+    Only the signs sign(t - mu) of the first pairing depend on mu, and a
+    term's sign is the same at every mu in `mus` unless its t-frequency
+    lies in [min(mus), max(mus)].  So every term is scattered once, at
+    mus[0], and that row is copied to the other mu; per mu, only the slots
+    that hold such a term are zeroed and re-summed, from all of their
+    terms in raveled order.  Every other slot receives the same values in
+    the same order at every mu, so every row keeps the bits of its own
+    full scatter.
     """
     n = len(bs)
     width_b = max((b.coeffs.size for b in bs), default=0)
@@ -144,10 +153,19 @@ def _bht_coeffs(bs, fs, k: int, l: int, mus, scale: int, base: bool):
     lo = int(out.min())
     W = int(out.max()) - lo + 1
     slot = (out + (W * np.arange(n) - lo)[:, None, None]).ravel()
-    t = l * p + sq
+    t = (l * p + sq).ravel()
+    terms = amps.ravel()
     rows = np.zeros((len(mus), n * W), dtype=np.complex128)
-    for j, mu in enumerate(mus):
-        np.add.at(rows[j], slot, (-1j * np.sign(t - mu) * amps).ravel())
+    np.add.at(rows[0], slot, -1j * np.sign(t - mus[0]) * terms)
+    if len(mus) > 1:
+        moving = np.zeros(n * W, dtype=bool)
+        moving[slot[(t >= min(mus)) & (t <= max(mus))]] = True
+        keep = moving[slot]
+        slot_m, t_m, terms_m = slot[keep], t[keep], terms[keep]
+        rows[1:] = rows[0]
+        rows[1:, moving] = 0.0
+        for j, mu in enumerate(mus[1:], 1):
+            np.add.at(rows[j], slot_m, -1j * np.sign(t_m - mu) * terms_m)
     if base:
         rows_base = np.zeros(n * W, dtype=np.complex128)
         np.add.at(rows_base, slot, (-1j * np.sign(sq) * -amps).ravel())
@@ -174,8 +192,12 @@ def bht_mu_fourier(b: TrigPoly, f: TrigPoly, params: BHTParams) -> TrigPoly:
 
 def bht_mu_family(bs, fs, k: int, l: int):
     """H_{k,l,mu}(bs[i], fs[i]) for every pair i and every mu in -|l|..|l|,
-    by one accumulation per mu over all pairs; every fs[i] must be
-    analytic.
+    by one accumulation over all pairs; every fs[i] must be analytic.
+
+    Output slots none of whose terms has a t-frequency in -|l|..|l| are
+    summed once, at mu = -|l|, and shared by every mu; only the other slots
+    are re-summed per mu (see _bht_coeffs).  A shared slot adds the same
+    values in the same order at every mu, so nothing moves a bit.
 
     Returns (rows, lo): rows has shape (2|l| + 1, len(bs), W) and
     TrigPoly(rows[mu + |l|, i], lo) equals bht_mu_fourier(bs[i], fs[i],

@@ -32,8 +32,8 @@ from .hankel import (TruncationSpec, hankel_apply, matrix_section,
                      beta_minus_one_identity_check)
 from .opnorm import (lebesgue_constant, ratio_search_qp, section_norm_2_2,
                      sn_extremal_lower_bound)
-from .spaces import (hardy_norms, modulated_norm_ratios, random_symbol,
-                     random_symbols)
+from .spaces import (_h2_norm, hardy_norms, modulated_norm_ratios,
+                     random_symbol, random_symbols)
 from .trigpoly import (PRUNE_TOL, Grid, TrigPoly, coeff_distance, eval_grid,
                        flip, multiply, random_poly, random_stream,
                        tail_projection)
@@ -304,9 +304,10 @@ def identity_suite_rows(config: ExperimentConfig) -> list:
 
 def summarize_identity_suite(params, rows):
     tol = params["residual_tol"]
-    per = {}
+    residuals = {}
     for identity, _, _, residual in rows:
-        per[identity] = _max_nan(per.get(identity, 0.0), float(residual))
+        residuals.setdefault(identity, []).append(float(residual))
+    per = {identity: _max_nan(0.0, *rs) for identity, rs in residuals.items()}
     max_res = _max_nan(*per.values()) if per else 0.0
     passed = bool(per) and max_res <= tol
     return ({"per_identity": per, "max_residual": max_res,
@@ -657,10 +658,10 @@ def _row_hardy_norms(coeffs, lo, p):
     circle is flip-invariant).
 
     At p = 2 no g is built: each row is pruned at PRUNE_TOL, trimmed to its
-    nonzero window, reversed where g is flipped, and reduced by the 1-D
-    np.linalg.norm that hardy_norm applies to g.coeffs.  The summation
-    order fixes the last bits, hence the reversal.  The general path gives
-    the same values in about three times the time.
+    nonzero window, reversed where g is flipped, and reduced by
+    spaces._h2_norm, the helper that hardy_norm(g, 2) applies to g.coeffs.
+    The summation order fixes the last bits, hence the reversal.  The
+    general path gives the same values in about three times the time.
     """
     if p != 2:
         gs = [[TrigPoly(row, lo) for row in rows] for rows in coeffs]
@@ -680,7 +681,7 @@ def _row_hardy_norms(coeffs, lo, p):
                 raise NonAnalyticError(
                     "hardy_norm requires an analytic polynomial")
             row = row[::-1].copy()
-        norms[j][i] = float(np.linalg.norm(row))
+        norms[j][i] = _h2_norm(row)
     return norms
 
 
@@ -725,11 +726,12 @@ def constant_stability_rows(config: ExperimentConfig) -> list:
 
 def summarize_constant_stability(params, rows):
     spread_tol = params["spread_tol"]
-    sups = {}
+    ratios = {}
     for band, k, l, mu, _s, ratio in rows:
-        key = (band, k, l)
-        sups.setdefault(key, {})
-        sups[key][mu] = _max_nan(sups[key].get(mu, 0.0), float(ratio))
+        ratios.setdefault((band, k, l), {}).setdefault(mu, []).append(
+            float(ratio))
+    sups = {key: {mu: _max_nan(0.0, *rs) for mu, rs in per_mu.items()}
+            for key, per_mu in ratios.items()}
     per_kl = {}
     bands = {}
     all_ok = bool(sups)
@@ -765,6 +767,13 @@ def summarize_constant_stability(params, rows):
 # ---------------------------------------------------------------------------
 # lemma_lipschitz_sweep
 # ---------------------------------------------------------------------------
+
+def _validate_lemma_lipschitz_sweep(p):
+    _require_at_least(p, N_grid=1)
+    if not all(math.isfinite(fac) for fac in p["M_factors"]):
+        raise ParameterError(
+            f"M_factors must be finite, got {p['M_factors']!r}")
+
 
 def lemma_lipschitz_sweep_rows(config: ExperimentConfig) -> list:
     p = config.params
@@ -939,7 +948,7 @@ EXPERIMENTS = {
         run=lemma_lipschitz_sweep_rows,
         summarize=summarize_lemma_lipschitz_sweep,
         charts=lemma_lipschitz_sweep_charts,
-        validate=lambda p: _require_at_least(p, N_grid=1),
+        validate=_validate_lemma_lipschitz_sweep,
     ),
 }
 

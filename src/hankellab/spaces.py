@@ -321,6 +321,14 @@ def sup_norm(f: TrigPoly):
     return _refine_stack([f], math.inf)[0]
 
 
+def _h2_norm(c) -> float:
+    """(sum |c_n|^2)^{1/2} of a 1-D coefficient array, summed as the 1-D
+    np.linalg.norm sums it, sqrt(re.re + im.im), without its per-call
+    checks: the exact H^2 norm of hardy_norm(f, 2)."""
+    re, im = c.real, c.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def hardy_norms(fs, p: float) -> list:
     """hardy_norm(f, p) for each f in fs, refined as one stack."""
     if not all(f.is_analytic for f in fs):
@@ -328,8 +336,7 @@ def hardy_norms(fs, p: float) -> list:
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
     if p == 2:
-        return [HardyNorm(2.0, float(np.linalg.norm(f.coeffs)), 0, True)
-                for f in fs]
+        return [HardyNorm(2.0, _h2_norm(f.coeffs), 0, True) for f in fs]
     return [HardyNorm(p, value, G, ok)
             for value, G, ok in _refine_stack(fs, p)]
 
@@ -351,8 +358,8 @@ def lipschitz_norms(bs, alpha: float) -> list:
     their Littlewood-Paley blocks refined as one stack."""
     if not all(b.is_analytic for b in bs):
         raise NonAnalyticError("lipschitz_norm requires an analytic symbol")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     blocks = [[(j, bj) for j, bj in enumerate(lp_decompose(b))
                if not bj.is_zero] for b in bs]
     sups = iter(_refine_stack([bj for bl in blocks for _, bj in bl],
@@ -399,8 +406,8 @@ def lipschitz_norm_diff(b: TrigPoly, alpha: float) -> LipschitzNorm:
 def random_symbols(alpha: float, max_block: int, seeds) -> list:
     """random_symbol(alpha, max_block, seed) for each seed in seeds, with the
     sup norms of block j of every symbol refined as one stack."""
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if max_block < 0:
         raise ParameterError("max_block must be nonnegative")
     consts, blocks = [], []

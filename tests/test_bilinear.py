@@ -277,6 +277,24 @@ def test_family_matches_reference_and_lone_calls_bitwise():
                         k, l, mu, i)
 
 
+def test_family_matches_lone_calls_bitwise_at_workload_size():
+    # b with 64 coefficients and f with 25, as in constant_stability; L > 0
+    # and L < 0, and the share of output slots whose terms reach a
+    # t-frequency in -|l|..|l| (re-summed per mu) runs from 2 of 88 at
+    # (1, 3) to 74 of 88 at (-3, 1)
+    rng = RNG(2026)
+    bs = [random_poly(rng, 63) for _ in range(3)]
+    fs = [random_poly(rng, 24) for _ in range(3)]
+    for (k, l) in [(1, 3), (-8, 9), (-3, 1), (-9, 8)]:
+        rows, lo = bht_mu_family(bs, fs, k, l)
+        for j, mu in enumerate(range(-abs(l), abs(l) + 1)):
+            for i, (b, f) in enumerate(zip(bs, fs)):
+                got = TrigPoly(rows[j, i], lo)
+                want = bht_mu_fourier(b, f, BHTParams(k, l, mu))
+                assert got.min_freq == want.min_freq, (k, l, mu, i)
+                assert np.array_equal(got.coeffs, want.coeffs), (k, l, mu, i)
+
+
 def test_family_guards():
     b, f = TrigPoly([1.0, 2.0], 0), TrigPoly([1.0], -1)
     with pytest.raises(NonAnalyticError):

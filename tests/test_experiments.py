@@ -2,6 +2,7 @@
 files, and the command-line interface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -193,6 +194,8 @@ OUT_OF_RANGE = [
     ("bht_consistency", {"max_degree": 3}),
     ("bht_consistency", {"cross_degree": -1}),
     ("constant_stability", {"f_degree": -1}),
+    ("lemma_lipschitz_sweep", {"M_factors": [math.inf, 1.0],
+                               "N_grid": [1, 16]}),             # *
 ]
 
 
@@ -213,6 +216,14 @@ def test_out_of_range_values_are_config_errors(name, bad, tmp_path, capsys):
     ("constant_stability", {"seeds": 1}, -1, None),
     ("log_growth", {"extremal_n_max": 0, "alpha": -1.0}, -1, None),
     ("truncation_uniformity", {"section_size": 0}, -1, SectionSizeError),
+    # an infinite alpha scales no symbol block: a library error, not a
+    # LinAlgError from the section norm
+    ("truncation_uniformity", {"seeds": 1, "alpha": math.inf}, 0,
+     ParameterError),
+    ("log_growth", {"extremal_n_max": 0, "section_symbol_alpha": math.inf},
+     0, ParameterError),
+    # and no Lambda_alpha norm: not NaN extremal rows
+    ("log_growth", {"alpha": math.inf}, 0, ParameterError),
 ])
 def test_property_counterexamples(name, params, seed, error):
     config = ExperimentConfig(name, seed=seed, params=dict(TINY[name],
@@ -818,9 +829,13 @@ def test_cli_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_config_value_errors_exit_one(tmp_path, capsys):
-    # values of the wrong type, too large for a float or NaN (YAML .nan),
-    # points of the wrong length, and empty sweeps: an error line, exit 1
+    # values of the wrong type, too large for a float, NaN (YAML .nan) or
+    # infinite (YAML .inf) where the run needs a finite one, points of the
+    # wrong length, and empty sweeps: an error line, exit 1
     for name, bad in (("identity_suite", {"seeds": "abc"}),
+                      ("truncation_uniformity",
+                       {"seeds": 1, "beta_grid": [1.0], "alpha": math.inf}),
+                      ("lemma_lipschitz_sweep", {"M_factors": [math.inf]}),
                       ("identity_suite", {"residual_tol": 10 ** 400}),
                       ("identity_suite", {"residual_tol": float("nan")}),
                       ("truncation_uniformity", {"sweep_tol": float("nan")}),

@@ -134,13 +134,15 @@ def _put(params, path, value):
 @hypothesis.settings(settings, max_examples=40)
 @given(data=st.data())
 def test_config_values_give_a_run_or_a_config_error(name, data):
-    # one int and one float of the tiny config replaced by small values,
-    # any small seed: ExperimentConfig rejects the config, or the run ends
-    # in a report or a library error, never in another exception
+    # one int and one float of the tiny config replaced by small or
+    # infinite values, any small seed: ExperimentConfig rejects the config,
+    # or the run ends in a report or a library error, never in another
+    # exception
     params = copy.deepcopy({**EXPERIMENTS[name].defaults, **TINY[name]})
     leaves = list(_leaves(params))
+    floats = [-1.0, 0.0, 0.5, 1.0, math.inf, -math.inf]
     for kind, values in ((int, st.integers(-2, 4)),
-                         (float, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))):
+                         (float, st.sampled_from(floats))):
         path = data.draw(st.sampled_from([p for p, k in leaves if k is kind]))
         _put(params, path, data.draw(values))
     seed = data.draw(st.integers(-3, 3))

@@ -153,6 +153,13 @@ def test_random_symbol_degenerate_and_guards():
         random_symbol(0.0, 3, 1)
     with pytest.raises(ParameterError):
         random_symbol(0.5, -1, 1)
+    # Lambda_alpha needs a finite alpha: 2^{j alpha} is inf at j >= 1 and
+    # 2^{0 * inf} is NaN, so no block could be scaled or weighed
+    for alpha in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            random_symbol(alpha, 3, 1)
+        with pytest.raises(ParameterError):
+            lipschitz_norm(TrigPoly.character(2), alpha)
 
 
 # -- reduction_index ----------------------------------------------------------
